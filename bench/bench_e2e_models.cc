@@ -93,15 +93,12 @@ runForward(benchmark::State &state, Zoo zoo)
     state.counters["steady_allocs"] = double(steady_allocs);
     state.counters["alloc_counting"] =
         allocCountingEnabled() ? 1.0 : 0.0;
-    // Steady activation+scratch footprint of the path that actually
-    // ran (the legacy ping-pong chain unless PCNN_GRAPH=1), and the
-    // arena share of it when the compiled graph is on.
+    // Steady activation+scratch footprint of the compiled graph, and
+    // the single arena allocation's share of it.
     state.counters["steady_mem_bytes"] =
         double(net.steadyMemoryBytes());
     state.counters["peak_arena_bytes"] =
-        net.compiledGraph() != nullptr
-            ? double(net.compiledGraph()->arenaBytes())
-            : 0.0;
+        double(net.compiledGraph()->arenaBytes());
 }
 
 void
@@ -135,102 +132,6 @@ BENCHMARK(BM_E2EMiniVgg) PCNN_E2E_ARGS;
 BENCHMARK(BM_E2EMiniInception) PCNN_E2E_ARGS;
 
 #undef PCNN_E2E_ARGS
-
-// --------------------------------- compiled-graph A/B (§5j)
-
-/**
- * Whole-network forward through the compiled graph vs. the legacy
- * ping-pong chain, same net and input (logits are bitwise identical
- * by contract; tests/test_graph.cc asserts it). range(0) = batch,
- * range(1) = 0 (legacy) / 1 (compiled graph).
- *
- * Each row carries the §5j acceptance counters alongside img/s and
- * steady_allocs: steady_mem_bytes is the measured path's steady
- * activation+scratch footprint, baseline_scratch_bytes the legacy
- * chain's footprint on a fresh twin network (the memory the arena
- * replaces — constant across the 0/1 rows so the drop is readable
- * off any row), and peak_arena_bytes the single arena allocation
- * (0 on legacy rows).
- *
- * tools/run_bench.sh snapshots this family as BENCH_pr9.json.
- */
-void
-runGraphForward(benchmark::State &state, Zoo zoo)
-{
-    const auto batch = std::size_t(state.range(0));
-    const bool graph = state.range(1) != 0;
-    Rng rng(42);
-    Network net = makeNet(zoo, rng);
-
-    const Shape in = net.inputShape();
-    Tensor x(Shape{batch, in.c, in.h, in.w});
-    x.fillGaussian(rng, 0, 1);
-
-    // Legacy steady footprint on a fresh twin (same seed, so same
-    // weights and shapes) — the pre-arena baseline for this row.
-    Rng twinRng(42);
-    Network twin = makeNet(zoo, twinRng);
-    setGraphEnabled(false);
-    Tensor y;
-    twin.forwardInto(x, false, y);
-    twin.forwardInto(x, false, y);
-    const std::size_t baseline = twin.steadyMemoryBytes();
-
-    setGraphEnabled(graph);
-    net.forwardInto(x, false, y); // warm: arena, pool, panels
-    std::uint64_t steady_allocs = 0;
-    for (auto _ : state) {
-        ScopedAllocCount probe;
-        net.forwardInto(x, false, y);
-        benchmark::DoNotOptimize(y.data());
-        steady_allocs += probe.allocs();
-    }
-    setGraphEnabled(false);
-
-    state.SetItemsProcessed(int64_t(state.iterations()) *
-                            int64_t(batch));
-    state.counters["img/s"] = benchmark::Counter(
-        double(state.iterations()) * double(batch),
-        benchmark::Counter::kIsRate);
-    state.counters["steady_allocs"] = double(steady_allocs);
-    state.counters["alloc_counting"] =
-        allocCountingEnabled() ? 1.0 : 0.0;
-    state.counters["steady_mem_bytes"] =
-        double(net.steadyMemoryBytes());
-    state.counters["baseline_scratch_bytes"] = double(baseline);
-    state.counters["peak_arena_bytes"] =
-        net.compiledGraph() != nullptr
-            ? double(net.compiledGraph()->arenaBytes())
-            : 0.0;
-}
-
-void
-BM_E2EGraphMiniAlexNet(benchmark::State &state)
-{
-    runGraphForward(state, Zoo::AlexStyle);
-}
-
-void
-BM_E2EGraphMiniVgg(benchmark::State &state)
-{
-    runGraphForward(state, Zoo::VggStyle);
-}
-
-void
-BM_E2EGraphMiniInception(benchmark::State &state)
-{
-    runGraphForward(state, Zoo::InceptionStyle);
-}
-
-#define PCNN_E2E_GRAPH_ARGS                                            \
-    ->ArgNames({"batch", "graph"})                                     \
-        ->ArgsProduct({{1, 16}, {0, 1}})
-
-BENCHMARK(BM_E2EGraphMiniAlexNet) PCNN_E2E_GRAPH_ARGS;
-BENCHMARK(BM_E2EGraphMiniVgg) PCNN_E2E_GRAPH_ARGS;
-BENCHMARK(BM_E2EGraphMiniInception) PCNN_E2E_GRAPH_ARGS;
-
-#undef PCNN_E2E_GRAPH_ARGS
 
 // ------------------------------- per-algorithm layer breakdowns
 
@@ -290,29 +191,6 @@ BENCHMARK(BM_ConvAlgoLayer)
                    {int(ConvAlgo::Im2col), int(ConvAlgo::Winograd),
                     -1}});
 
-/**
- * Whole-net MiniVgg forward with the ReLU-folding peephole on vs.
- * off (cost-model conv dispatch either way): the fused-epilogue
- * payoff at the network level.
- */
-void
-BM_E2EMiniVggReluFolding(benchmark::State &state)
-{
-    Rng rng(42);
-    Network net = makeMiniVgg(rng);
-    const Shape in = net.inputShape();
-    Tensor x(Shape{1, in.c, in.h, in.w});
-    x.fillGaussian(rng, 0, 1);
-
-    setReluFolding(state.range(0) != 0);
-    for (auto _ : state) {
-        Tensor y = net.forward(x, false);
-        benchmark::DoNotOptimize(y.data());
-    }
-    setReluFolding(true);
-    state.SetItemsProcessed(int64_t(state.iterations()));
-}
-BENCHMARK(BM_E2EMiniVggReluFolding)->Arg(0)->Arg(1);
 
 /**
  * Whole-net batch-1 forward with every conv/fc layer on the int8

@@ -1,24 +1,16 @@
 /**
  * @file
- * Concurrent serving engine bench (DESIGN.md §5f) -> BENCH_pr5.json.
- *
- * Three experiments over MiniAlexNet:
- *  1. Closed loop, batch 1: throughput vs worker count with a
- *     bounded in-flight window, asserting the logits of a probe set
- *     stay bitwise identical across worker counts.
- *  2. Open loop: a Poisson arrival stream against the deadline-aware
- *     batcher, reporting latency tails, mean batch, shed count.
- *  3. Cross-check: the same batching policy driven through the
- *     analytical ServingSimulator; both must show the same
- *     qualitative behaviour (mean batch grows with arrival rate,
- *     never exceeds the cap, every request accounted for).
+ * Single-model serving bench (DESIGN.md §5f): a MultiTenantEngine
+ * over a registry of one MiniAlexNet, driven closed loop at batch 1
+ * with 1, 2 and 4 workers. Reports throughput and latency tails per
+ * worker count and checks that the logits of a probe set stay
+ * bitwise identical across worker counts (the exit code).
  *
  * Usage: bench_serving_engine [--quick] [out.json]
  * --quick shrinks request counts for CI smoke runs.
  */
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <deque>
@@ -31,19 +23,12 @@
 #include "common/parallel.hh"
 #include "common/random.hh"
 #include "nn/model_zoo.hh"
-#include "pcnn/runtime/serving_sim.hh"
-#include "serve/engine.hh"
+#include "serve/multi_engine.hh"
 #include "tensor/microkernel.hh"
 
 using namespace pcnn;
 
 namespace {
-
-UserRequirement
-interactiveReq()
-{
-    return inferRequirement(ageDetectionApp());
-}
 
 std::vector<Tensor>
 probeInputs(const Shape &in, std::size_t n)
@@ -82,17 +67,24 @@ runClosedLoop(std::size_t workers, std::size_t total,
               const std::vector<Tensor> &probes)
 {
     Rng rng(42); // identical weights for every worker count
-    Network net = makeMiniAlexNet(rng);
-    EngineConfig cfg;
+    ModelRegistry reg;
+    ModelConfig mc;
+    mc.name = "MiniAlexNet";
+    mc.maxBatch = 1;
+    mc.maxReplicas = workers;
+    if (reg.registerModel(makeMiniAlexNet(rng), std::move(mc)) !=
+        RegisterStatus::Registered) {
+        std::fprintf(stderr, "model registration failed\n");
+        std::exit(1);
+    }
+    MultiEngineConfig cfg;
     cfg.workers = workers;
-    cfg.maxBatch = 1;
-    cfg.queueCapacity = total;
-    cfg.requirement = interactiveReq();
-    cfg.maxWaitS = 0.0;
-    ServeEngine engine(net, cfg);
+    cfg.initialReplicas = workers;
+    cfg.fabric.queueCapacity = total;
+    MultiTenantEngine engine(reg, cfg);
 
     Rng inputs(7);
-    const Shape &in = net.inputShape();
+    const Shape &in = reg.model(0).inputShape();
     auto makeInput = [&](std::size_t i) {
         if (i < probes.size())
             return probes[i];
@@ -105,24 +97,25 @@ runClosedLoop(std::size_t workers, std::size_t total,
     r.workers = workers;
     r.requests = total;
     const std::size_t window = workers * 4;
-    std::deque<std::future<ServeResult>> inflight;
+    std::deque<std::future<TenantResult>> inflight;
     const auto t0 = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < total; ++i) {
-        auto sub = engine.submit(makeInput(i));
+        auto sub =
+            engine.submit(0, TaskClass::Interactive, makeInput(i));
         if (sub.status != SubmitStatus::Accepted) {
             std::fprintf(stderr, "closed loop shed a request\n");
             std::exit(1);
         }
         inflight.push_back(std::move(sub.result));
         while (inflight.size() >= window) {
-            const ServeResult res = inflight.front().get();
+            const TenantResult res = inflight.front().get();
             inflight.pop_front();
             if (r.probeLogits.size() < probes.size())
                 r.probeLogits.push_back(res.logits);
         }
     }
     while (!inflight.empty()) {
-        const ServeResult res = inflight.front().get();
+        const TenantResult res = inflight.front().get();
         inflight.pop_front();
         if (r.probeLogits.size() < probes.size())
             r.probeLogits.push_back(res.logits);
@@ -130,76 +123,16 @@ runClosedLoop(std::size_t workers, std::size_t total,
     const auto t1 = std::chrono::steady_clock::now();
     const double wall = std::chrono::duration<double>(t1 - t0).count();
     r.throughputRps = double(total) / wall;
-    const ServeMetricsSnapshot m = engine.metrics();
-    r.p50Ms = m.latency.p50S * 1e3;
-    r.p99Ms = m.latency.p99S * 1e3;
+    const TenantMetricsSnapshot m = engine.metrics();
+    const LatencySummary &lat =
+        m.byClass[static_cast<std::size_t>(TaskClass::Interactive)]
+            .latency;
+    r.p50Ms = lat.p50S * 1e3;
+    r.p99Ms = lat.p99S * 1e3;
     r.steadyAllocs = m.steadyAllocs;
     r.steadyProbedBatches = m.steadyProbedBatches;
     engine.stop();
     return r;
-}
-
-struct OpenLoopResult
-{
-    double rateHz = 0.0;
-    ServeMetricsSnapshot metrics;
-};
-
-/** Open loop: Poisson arrivals at rateHz for `total` requests. */
-OpenLoopResult
-runOpenLoop(std::size_t workers, std::size_t maxBatch,
-            double maxWaitS, double rateHz, std::size_t total)
-{
-    Rng rng(42);
-    Network net = makeMiniAlexNet(rng);
-    EngineConfig cfg;
-    cfg.workers = workers;
-    cfg.maxBatch = maxBatch;
-    cfg.queueCapacity = 256;
-    cfg.requirement = interactiveReq();
-    cfg.maxWaitS = maxWaitS;
-    ServeEngine engine(net, cfg);
-
-    Rng arrivals(99);
-    Rng inputs(7);
-    const Shape &in = net.inputShape();
-    std::vector<std::future<ServeResult>> futs;
-    futs.reserve(total);
-    auto next = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < total; ++i) {
-        next += std::chrono::duration_cast<
-            std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(
-                -std::log(1.0 - arrivals.uniform()) / rateHz));
-        std::this_thread::sleep_until(next);
-        Tensor t(Shape{1, in.c, in.h, in.w});
-        t.fillUniform(inputs, -1.0f, 1.0f);
-        auto sub = engine.submit(std::move(t));
-        if (sub.status == SubmitStatus::Accepted)
-            futs.push_back(std::move(sub.result));
-    }
-    for (auto &f : futs)
-        f.get();
-    OpenLoopResult r;
-    r.rateHz = rateHz;
-    r.metrics = engine.metrics();
-    engine.stop();
-    return r;
-}
-
-void
-jsonBatchHist(std::FILE *f, const BatchSizeHistogram &h)
-{
-    std::fprintf(f, "[");
-    bool first = true;
-    for (std::size_t b = 1; b < h.counts.size(); ++b) {
-        if (h.counts[b] == 0)
-            continue;
-        std::fprintf(f, "%s{\"batch\": %zu, \"count\": %zu}",
-                     first ? "" : ", ", b, h.counts[b]);
-        first = false;
-    }
-    std::fprintf(f, "]");
 }
 
 } // namespace
@@ -217,7 +150,6 @@ main(int argc, char **argv)
     }
 
     const std::size_t closed_total = quick ? 64 : 1024;
-    const std::size_t open_total = quick ? 48 : 400;
     const std::size_t probe_count = 8;
 
     Rng seed_rng(42);
@@ -225,7 +157,7 @@ main(int argc, char **argv)
     const std::vector<Tensor> probes =
         probeInputs(probe_net.inputShape(), probe_count);
 
-    // 1. Closed loop: throughput vs workers, bitwise probe check.
+    // Closed loop: throughput vs workers, bitwise probe check.
     const std::size_t worker_counts[] = {1, 2, 4};
     std::vector<ClosedLoopResult> closed;
     for (std::size_t w : worker_counts)
@@ -256,61 +188,6 @@ main(int argc, char **argv)
     std::printf("probe logits bitwise identical across "
                 "worker counts: %s\n",
                 bitwise_equal ? "yes" : "NO");
-
-    // 2. Open loop: Poisson arrivals vs the deadline-aware batcher.
-    const double rates[] = {quick ? 200.0 : 500.0,
-                            quick ? 1000.0 : 2000.0,
-                            quick ? 4000.0 : 8000.0};
-    const std::size_t open_workers = 2, open_batch = 8;
-    const double open_wait = 0.005;
-    std::vector<OpenLoopResult> open;
-    for (double rate : rates)
-        open.push_back(runOpenLoop(open_workers, open_batch,
-                                   open_wait, rate, open_total));
-
-    TextTable open_table({"Arrival (req/s)", "Completed", "Shed",
-                          "Mean batch", "p50 (ms)", "p95 (ms)",
-                          "p99 (ms)", "p99.9 (ms)"});
-    for (const OpenLoopResult &r : open)
-        open_table.addRow(
-            {TextTable::num(r.rateHz, 0),
-             std::to_string(r.metrics.completed),
-             std::to_string(r.metrics.shed),
-             TextTable::num(r.metrics.batchHist.meanBatch(), 2),
-             bench::ms(r.metrics.latency.p50S),
-             bench::ms(r.metrics.latency.p95S),
-             bench::ms(r.metrics.latency.p99S),
-             bench::ms(r.metrics.latency.p999S)});
-    printSection("Serving engine — open loop, Poisson arrivals "
-                 "(2 workers, maxBatch 8, 5 ms wait)",
-                 open_table.render());
-
-    // 3. Cross-check the batching behaviour against the analytical
-    // simulator under the same policy shape (its service times come
-    // from the GPU model, so only the qualitative behaviour must
-    // match: batches fill as load rises and never exceed the cap).
-    const ServingSimulator sim(k20c(), alexNet());
-    const UserRequirement sim_req = interactiveReq();
-    std::vector<double> sim_mean_batches;
-    for (double rate : {20.0, 100.0, 300.0}) {
-        ServingConfig scfg;
-        scfg.arrivalRateHz = rate;
-        scfg.durationS = quick ? 2.0 : 8.0;
-        scfg.maxBatch = open_batch;
-        scfg.maxWaitS = open_wait;
-        scfg.seed = 11;
-        const ServingStats s = sim.run(scfg, sim_req);
-        sim_mean_batches.push_back(s.meanBatch);
-    }
-    const bool engine_monotone =
-        open.back().metrics.batchHist.meanBatch() >=
-        open.front().metrics.batchHist.meanBatch();
-    const bool sim_monotone =
-        sim_mean_batches.back() >= sim_mean_batches.front();
-    std::printf("batching cross-check: engine mean batch rises with "
-                "load: %s; simulator agrees: %s\n",
-                engine_monotone ? "yes" : "NO",
-                sim_monotone ? "yes" : "NO");
 
     // ------------------------------------------------ JSON snapshot
     std::FILE *f = std::fopen(out_path.c_str(), "w");
@@ -351,44 +228,8 @@ main(int argc, char **argv)
             i + 1 < closed.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"probe_logits_bitwise_equal\": %s,\n",
+    std::fprintf(f, "  \"probe_logits_bitwise_equal\": %s\n",
                  bitwise_equal ? "true" : "false");
-
-    std::fprintf(f, "  \"open_loop\": [\n");
-    for (std::size_t i = 0; i < open.size(); ++i) {
-        const ServeMetricsSnapshot &m = open[i].metrics;
-        std::fprintf(
-            f,
-            "    {\"rate_hz\": %.0f, \"workers\": %zu, "
-            "\"max_batch\": %zu, \"max_wait_s\": %.3f, "
-            "\"completed\": %llu, \"shed\": %llu, "
-            "\"mean_batch\": %.3f, \"queue_high_water\": %zu, "
-            "\"p50_ms\": %.4f, \"p95_ms\": %.4f, \"p99_ms\": %.4f, "
-            "\"p999_ms\": %.4f, \"throughput_rps\": %.1f, "
-            "\"steady_allocs\": %llu, "
-            "\"steady_probed_batches\": %llu, "
-            "\"batch_hist\": ",
-            open[i].rateHz, open_workers, open_batch, open_wait,
-            static_cast<unsigned long long>(m.completed),
-            static_cast<unsigned long long>(m.shed),
-            m.batchHist.meanBatch(), m.queueHighWater,
-            m.latency.p50S * 1e3, m.latency.p95S * 1e3,
-            m.latency.p99S * 1e3, m.latency.p999S * 1e3,
-            m.throughputRps,
-            static_cast<unsigned long long>(m.steadyAllocs),
-            static_cast<unsigned long long>(m.steadyProbedBatches));
-        jsonBatchHist(f, m.batchHist);
-        std::fprintf(f, "}%s\n", i + 1 < open.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n");
-
-    std::fprintf(f,
-                 "  \"sim_crosscheck\": {\"engine_mean_batch_rises\": "
-                 "%s, \"sim_mean_batch_rises\": %s, "
-                 "\"sim_mean_batches\": [%.3f, %.3f, %.3f]}\n",
-                 engine_monotone ? "true" : "false",
-                 sim_monotone ? "true" : "false", sim_mean_batches[0],
-                 sim_mean_batches[1], sim_mean_batches[2]);
     std::fprintf(f, "}\n");
     std::fclose(f);
     std::printf("wrote %s\n", out_path.c_str());

@@ -184,9 +184,9 @@ class ConvLayer : public Layer
      * by a CompiledGraph, DESIGN.md §5j). While the pool is active,
      * forwards use its lanes instead of the layer's own `scratch`,
      * so the footprint across all convs is the *max* of any one
-     * layer's need rather than the sum. While inactive (legacy path,
-     * training) the layer's own scratch is used and the baseline
-     * memory story is unchanged. Pass nullptr to detach.
+     * layer's need rather than the sum. While inactive (training,
+     * direct layer calls) the layer's own scratch is used. Pass
+     * nullptr to detach.
      */
     void setScratchPool(ConvScratchPool *p) { pool = p; }
 
@@ -293,9 +293,9 @@ class ConvLayer : public Layer
 /**
  * Per-lane conv scratch shared across every conv layer of one
  * compiled graph (DESIGN.md §5j). The lanes grow lazily inside conv
- * forwards exactly like per-layer scratch; `active` gates use so the
- * legacy chain and training keep per-layer buffers (and baseline
- * accounting) even after a graph has installed the pool.
+ * forwards exactly like per-layer scratch; `active` gates use so
+ * training and direct layer calls keep per-layer buffers even after
+ * a graph has installed the pool.
  */
 struct ConvScratchPool
 {

@@ -10,17 +10,6 @@ namespace pcnn {
 
 namespace {
 
-/** ReLU-folding flag, seeded from PCNN_FOLD_RELU ("0" disables). */
-bool &
-reluFoldSlot()
-{
-    static bool on = [] {
-        const char *e = std::getenv("PCNN_FOLD_RELU");
-        return !(e != nullptr && std::string(e) == "0");
-    }();
-    return on;
-}
-
 struct ForcedAlgo
 {
     bool active = false;
@@ -74,39 +63,7 @@ quantizeSlot()
     return on;
 }
 
-/** PCNN_GRAPH environment seed ("1"/"true" enables). */
-bool
-graphEnvSeed()
-{
-    static const bool on = [] {
-        const char *e = std::getenv("PCNN_GRAPH");
-        return e != nullptr && (std::strcmp(e, "1") == 0 ||
-                                std::strcmp(e, "true") == 0);
-    }();
-    return on;
-}
-
-/** Compiled-graph dispatch slot, seeded from PCNN_GRAPH. */
-bool &
-graphSlot()
-{
-    static bool on = graphEnvSeed();
-    return on;
-}
-
 } // namespace
-
-bool
-reluFoldingEnabled()
-{
-    return reluFoldSlot();
-}
-
-void
-setReluFolding(bool on)
-{
-    reluFoldSlot() = on;
-}
 
 bool
 forcedConvAlgo(ConvAlgo &out)
@@ -145,24 +102,6 @@ void
 clearQuantizeForced()
 {
     quantizeSlot() = quantizeEnvSeed();
-}
-
-bool
-graphEnabled()
-{
-    return graphSlot();
-}
-
-void
-setGraphEnabled(bool on)
-{
-    graphSlot() = on;
-}
-
-void
-clearGraphEnabled()
-{
-    graphSlot() = graphEnvSeed();
 }
 
 } // namespace pcnn

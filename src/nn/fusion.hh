@@ -5,12 +5,6 @@
  *
  * Process-wide switches steer the inference hot path:
  *
- *  - ReLU folding: Network (and InceptionLayer branch chains) fold a
- *    ReLU layer into the producing Conv/Fc layer's fused-epilogue
- *    forward at inference. On by default; PCNN_FOLD_RELU=0 or
- *    setReluFolding(false) disables it (A/B benching, bitwise-parity
- *    tests). Training-mode forwards never fold.
- *
  *  - Forced conv algorithm: PCNN_CONV_ALGO=im2col|direct1x1|winograd
  *    (or setForcedConvAlgo()) overrides both the offline plan's
  *    per-layer choice and the cost model, wherever the forced
@@ -23,14 +17,13 @@
  *    tier/algorithm forcing legs in CI. Training forwards are never
  *    quantized.
  *
- *  - Compiled-graph dispatch: PCNN_GRAPH=1 (or setGraphEnabled())
- *    routes inference forwards through the compiled graph and its
- *    static arena (DESIGN.md §5j) instead of the legacy ping-pong
- *    chain. Off by default; bitwise identical results either way.
- *
  * Both are plain process-wide toggles, not per-network state: they
  * exist for benchmarking and testing, and the hot path reads them
  * without synchronization (set them before running inference).
+ *
+ * ReLU folding is not a switch: the compiled graph's fuse-relu pass
+ * (DESIGN.md §5j) always folds a ReLU into its Conv/Fc producer at
+ * inference, bitwise identical to the unfused pair.
  */
 
 #ifndef PCNN_NN_FUSION_HH
@@ -39,12 +32,6 @@
 #include "nn/conv_spec.hh"
 
 namespace pcnn {
-
-/** True when inference may fold ReLU layers into producers. */
-bool reluFoldingEnabled();
-
-/** Enable/disable ReLU folding (overrides PCNN_FOLD_RELU). */
-void setReluFolding(bool on);
 
 /**
  * Forced conv algorithm override, if active: returns true and sets
@@ -68,19 +55,16 @@ void setQuantizeForced(bool on);
 void clearQuantizeForced();
 
 /**
- * True when inference forwards route through the compiled graph
- * (pass-manager + static arena, DESIGN.md §5j) instead of the legacy
- * layer chain. Off by default; PCNN_GRAPH=1 (or setGraphEnabled)
- * turns it on. Results are bitwise identical either way — the switch
- * exists for A/B verification and staged rollout.
+ * Always true: every inference forward runs the compiled graph
+ * (DESIGN.md §5j); there is no other inference path. Kept because
+ * the benchmark binary (perfbench/src/main.cc) still reports and
+ * checks it.
  */
-bool graphEnabled();
-
-/** Enable/disable the compiled-graph path (overrides PCNN_GRAPH). */
-void setGraphEnabled(bool on);
-
-/** Restore the PCNN_GRAPH environment default. */
-void clearGraphEnabled();
+constexpr bool
+graphEnabled()
+{
+    return true;
+}
 
 } // namespace pcnn
 

@@ -2,7 +2,7 @@
  * @file
  * CompiledGraph materialization and execution (DESIGN.md §5j).
  *
- * Execution invokes the exact same layer forwards as the legacy
+ * Execution invokes the exact same layer forwards as the layer
  * chain, in the same order, on inputs holding the same bytes — the
  * only differences are *where* outputs land (offset-assigned arena
  * views instead of ping-pong buffers) and that per-item ops run in
@@ -18,7 +18,6 @@
 
 #include "common/check.hh"
 #include "common/tags.hh"
-#include "nn/fusion.hh"
 #include "nn/graph/graph_internal.hh"
 #include "nn/network.hh"
 
@@ -125,13 +124,12 @@ CompiledGraph::materialize(Network &net, GraphSchedule schedule,
                    w0->chanOff == 0 && w0->chanCount == ov.c;
 
     // Install the shared scratch pool on every conv; it only takes
-    // effect while a run is active, so the legacy path and training
-    // keep per-layer scratch.
+    // effect while a run is active, so training keeps per-layer
+    // scratch.
     for (Layer *l : g->flat)
         if (auto *conv = dynamic_cast<ConvLayer *>(l))
             conv->setScratchPool(&g->pool);
 
-    g->foldSnap = reluFoldingEnabled();
     g->quantSnap = graphQuantFingerprint(net);
     return g;
 }
@@ -171,7 +169,7 @@ CompiledGraph::execOp(std::size_t k, std::size_t item,
 
     if (op.exec == GraphOpExec::CopyWindow) {
         // Residual concat staging copy (batch-wide, non-tiled):
-        // byte-for-byte the legacy InceptionLayer concat loop.
+        // byte-for-byte the InceptionLayer concat loop.
         float *base = dv.isOutput ? out.data()
                                   : arena.data() + dv.offset;
         const std::size_t item_floats = src->shape().itemSize();
@@ -230,8 +228,8 @@ CompiledGraph::run(const Tensor &x, Tensor &out)
                "compiled graph capacity is batch ", sched.batch,
                " but the input has n=", n);
 
-    // Scratch-pool activation is scoped to the run so training and
-    // legacy forwards on the same layers keep their own buffers.
+    // Scratch-pool activation is scoped to the run so training
+    // forwards on the same layers keep their own buffers.
     struct PoolGuard
     {
         ConvScratchPool &p;
@@ -242,7 +240,7 @@ CompiledGraph::run(const Tensor &x, Tensor &out)
     const GraphValue &ov = sched.values[std::size_t(outputValue)];
     if (!directOut) {
         // Window writers fill every byte; the resize matches the
-        // legacy last layer's own y.resize on the caller's tensor.
+        // last layer's own y.resize on the caller's tensor.
         // pcnn-analyze: allow(hot-path-alloc): grow-only caller
         // buffer; capacity is reused once warm (DESIGN.md §5h).
         out.resize(Shape{n, ov.c, ov.h, ov.w});

@@ -4,12 +4,13 @@
  *
  * CompiledGraph owns the one arena allocation a schedule's values
  * live in, the shared per-lane conv scratch pool (max across layers
- * instead of the legacy sum), and the non-owning Tensor views that
+ * instead of the per-layer sum), and the non-owning Tensor views that
  * let unchanged layer forwardInto() code write straight into arena
- * slices. Network::forwardInto dispatches through it when the
- * PCNN_GRAPH toggle is on; results are bitwise identical to the
- * legacy chain because the same layer methods run in the same order
- * on the same bytes.
+ * slices. Every inference Network::forwardInto runs through it;
+ * results are bitwise identical to running the layers one by one
+ * because the same layer methods run in the same order on the same
+ * bytes (with each fused ReLU clamping exactly the sums the separate
+ * ReLU pass would have seen).
  */
 
 #ifndef PCNN_NN_GRAPH_COMPILED_GRAPH_HH
@@ -65,7 +66,7 @@ class CompiledGraph
      * Compile `net` for batches up to `batch`. Performs the single
      * arena allocation; the per-lane conv scratch pool is installed
      * on every conv layer but its buffers grow lazily on first use,
-     * exactly like the legacy per-layer scratch.
+     * exactly like per-layer scratch.
      */
     static std::unique_ptr<CompiledGraph> compile(Network &net,
                                                   std::size_t batch);
@@ -88,21 +89,19 @@ class CompiledGraph
     /**
      * Execute the schedule. `x` must match the compiled input shape
      * with n <= batchCapacity(); `out` receives the logits exactly
-     * as the legacy path would produce them. Steady-state calls are
-     * allocation-free.
+     * as the unfused layer chain would produce them. Steady-state
+     * calls are allocation-free.
      */
     void run(const Tensor &x, Tensor &out);
 
     /**
      * True when this graph no longer matches the run conditions:
-     * a larger batch than compiled for, or a flipped fusion /
-     * quantization fingerprint (which change the op structure).
+     * a larger batch than compiled for, or a flipped quantization
+     * fingerprint (which changes item tiling).
      */
-    bool staleFor(std::size_t batch, bool fold_relu,
-                  bool any_quant) const
+    bool staleFor(std::size_t batch, bool any_quant) const
     {
-        return batch > sched.batch || fold_relu != foldSnap ||
-               any_quant != quantSnap;
+        return batch > sched.batch || any_quant != quantSnap;
     }
 
     /** The schedule this executable realizes. */
@@ -141,9 +140,8 @@ class CompiledGraph
     Tensor dstHdr;  ///< per-op window destination view
     int outputValue = -1;
     /// output has one whole-channel batch-wide writer: it writes the
-    /// caller's tensor directly, exactly like the legacy last layer
+    /// caller's tensor directly, exactly like the chain's last layer
     bool directOut = false;
-    bool foldSnap = false;  ///< reluFoldingEnabled() at compile
     bool quantSnap = false; ///< graphQuantFingerprint() at compile
 };
 

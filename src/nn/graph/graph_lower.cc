@@ -6,17 +6,16 @@
  * Lowering walks the layer chain in order, inlining every top-level
  * inception module into its branch chains: each branch gets a staged
  * terminal value plus a CopyWindow op into the module's concat value,
- * reproducing the legacy per-branch ping-pong + concat copy exactly.
+ * reproducing InceptionLayer's per-branch ping-pong + concat copy
+ * exactly.
  * The passes then rewrite the op list:
  *
  *  1. prune-dropout   — inference dropout is an identity copy;
  *                       consumers read the dropout's input directly.
  *  2. fuse-relu       — a ReLU whose sole producer opts into epilogue
  *                       fusion merges into that producer
- *                       (forwardFusedReluInto), subsuming the legacy
- *                       PCNN_FOLD_RELU peephole. Skipped when ReLU
- *                       folding is disabled, keeping A/B parity with
- *                       the unfused chain.
+ *                       (forwardFusedReluInto); bitwise identical
+ *                       to the unfused pair.
  *  3. concat-elim     — a staged branch terminal with one producer
  *                       and one CopyWindow consumer is rewritten to
  *                       write its channel window of the concat value
@@ -154,9 +153,9 @@ pruneDropout(GraphSchedule &s)
 
 /**
  * Pass 2: merge a producer + adjacent ReLU pair into one fused op.
- * Conditions mirror the legacy peephole (adjacency, producer opts
- * in) plus single-producer/single-consumer ownership of the
- * intermediate value, which lowering guarantees and rewrites keep.
+ * Conditions: adjacency, the producer opts in (canFuseRelu), and
+ * single-producer/single-consumer ownership of the intermediate
+ * value, which lowering guarantees and rewrites keep.
  */
 void
 fuseRelu(GraphSchedule &s, const std::vector<Layer *> &flat)
@@ -352,7 +351,8 @@ lowerAndOptimize(Network &net, std::size_t batch)
         }
         // Inception: branch chains over staged values, then a
         // CopyWindow per branch into the concat value — exactly the
-        // legacy forwardInto structure, ready for concat-elim.
+        // InceptionLayer::forwardInto structure, ready for
+        // concat-elim.
         const Shape out = inc->outputShape(shape);
         const int concat = addValue(s, out, tiled);
         std::size_t c_off = 0;
@@ -383,8 +383,7 @@ lowerAndOptimize(Network &net, std::size_t batch)
 
     // Optimization passes (graphPassNames order).
     pruneDropout(s);
-    if (reluFoldingEnabled())
-        fuseRelu(s, flattenNetworkLayers(net));
+    fuseRelu(s, flattenNetworkLayers(net));
     concatElim(s);
     deadCodeSweep(s);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "nn/fusion.hh"
 #include "nn/pool_layer.hh"
 #include "nn/relu_layer.hh"
 
@@ -137,27 +136,16 @@ InceptionLayer::forwardInto(const Tensor &x, bool train, Tensor &y)
 
     std::size_t c_off = 0;
     const std::size_t plane = out.h * out.w;
-    const bool fold = !train && reluFoldingEnabled();
     for (auto &branch : branches) {
         // Feed the shared input to each branch head by reference —
         // no per-branch copy of x. Branch activations ping-pong
         // between two persistent scratch tensors, so the whole block
-        // allocates nothing once they have grown. The same
-        // ReLU-folding peephole as Network::forward applies within
-        // each branch chain.
+        // allocates nothing once they have grown.
         const Tensor *cur = &x;
         Tensor *nxt = &actA;
-        for (std::size_t li = 0; li < branch.size(); ++li) {
-            Layer *layer = branch[li].get();
+        for (auto &layer : branch) {
             Tensor *dst = nxt;
-            if (fold && li + 1 < branch.size() &&
-                layer->canFuseRelu() &&
-                branch[li + 1]->kind() == "relu") {
-                layer->forwardFusedReluInto(*cur, *dst);
-                ++li;
-            } else {
-                layer->forwardInto(*cur, train, *dst);
-            }
+            layer->forwardInto(*cur, train, *dst);
             nxt = dst == &actA ? &actB : &actA;
             cur = dst;
         }
@@ -219,9 +207,9 @@ std::size_t
 InceptionLayer::steadyStateScratchBytes() const
 {
     // Inner ping-pong staging plus whatever the branch layers hold.
-    // The compiled-graph path never touches actA/actB (branches write
-    // arena values directly), so on a graph-only replica these stay
-    // at zero capacity.
+    // Inference never touches actA/actB (the compiled graph inlines
+    // the branches as arena writers), so on a serving replica these
+    // stay at zero capacity.
     std::size_t total =
         (actA.capacityFloats() + actB.capacityFloats()) * sizeof(float);
     for (const Branch &branch : branches)

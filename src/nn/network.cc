@@ -5,7 +5,6 @@
 #include "common/check.hh"
 #include "common/logging.hh"
 #include "common/tags.hh"
-#include "nn/fusion.hh"
 #include "nn/graph/compiled_graph.hh"
 #include "tensor/tensor_ops.hh"
 
@@ -29,9 +28,7 @@ void
 Network::ensureCompiledGraph(std::size_t batch)
 {
     batch = std::max<std::size_t>(batch, 1);
-    const bool fold = reluFoldingEnabled();
-    const bool quant = graphQuantFingerprint(*this);
-    if (graph && !graph->staleFor(batch, fold, quant))
+    if (graph && !graph->staleFor(batch, graphQuantFingerprint(*this)))
         return;
     // pcnn-analyze: allow(hot-path-alloc): grow-only recompile —
     // happens on first use or a config flip, never in steady state.
@@ -90,13 +87,12 @@ Network::forwardInto(const Tensor &x, bool train, Tensor &out)
     PCNN_CHECK(!layers.empty(), netName, ": empty network");
     PCNN_CHECK(&out != &x, netName,
                ": forwardInto output must not alias the input");
-    // Compiled-graph dispatch (DESIGN.md §5j): inference forwards
-    // run the static-arena schedule when the toggle is on. The
-    // schedule invokes the same layer forwards in the same order on
-    // the same bytes, so logits are bitwise equal to the chain
-    // below; training always takes the chain (backward needs the
-    // layers' own caches and stochastic behaviour).
-    if (!train && graphEnabled()) {
+    // Inference runs the compiled graph (DESIGN.md §5j): the
+    // static-arena schedule with ReLUs fused into their producers.
+    // Training takes the plain layer chain (backward needs every
+    // layer's own caches and stochastic behaviour, the ReLUs their
+    // masks).
+    if (!train) {
         // pcnn-analyze: allow(hot-path-alloc): compile-on-first-use;
         // the graph is cached and steady-state forwards re-use it.
         ensureCompiledGraph(x.shape().n);
@@ -107,32 +103,12 @@ Network::forwardInto(const Tensor &x, bool train, Tensor &out)
         return;
     }
     // Activations ping-pong between two persistent per-network
-    // buffers (the last layer writes straight into `out`), so a
-    // steady-state inference forward performs no allocator traffic
-    // once every buffer has grown to its high-water shape
-    // (DESIGN.md §5h). The old per-layer fresh-tensor chain (and the
-    // input copy it started from) is gone.
+    // buffers (the last layer writes straight into `out`).
     const Tensor *cur = &x;
     Tensor *nxt = &actA;
-    // Inference peephole (DESIGN.md §5e): a ReLU directly after a
-    // layer that opts into epilogue fusion is folded into that
-    // layer's store pass and the ReLU layer itself is skipped.
-    // Training-mode forwards never fold (the ReLU must cache its
-    // mask for backward).
-    const bool fold = !train && reluFoldingEnabled();
     for (std::size_t i = 0; i < layers.size(); ++i) {
-        Layer *l = layers[i].get();
-        const bool fuse = fold && i + 1 < layers.size() &&
-                          l->canFuseRelu() &&
-                          layers[i + 1]->kind() == "relu";
-        const bool last = i + (fuse ? 2 : 1) >= layers.size();
-        Tensor *dst = last ? &out : nxt;
-        if (fuse) {
-            l->forwardFusedReluInto(*cur, *dst);
-            ++i; // the folded ReLU is consumed
-        } else {
-            l->forwardInto(*cur, train, *dst);
-        }
+        Tensor *dst = i + 1 == layers.size() ? &out : nxt;
+        layers[i]->forwardInto(*cur, train, *dst);
         nxt = dst == &actA ? &actB : &actA;
         cur = dst;
     }

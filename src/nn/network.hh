@@ -111,10 +111,13 @@ class Network
 
     /**
      * Run the network, writing the logits into `out` (resized as
-     * needed). Repeated calls with the same `out` tensor reuse its
-     * buffer and the network's internal ping-pong activation
-     * scratch, so a steady-state inference forward performs zero
-     * allocations (DESIGN.md §5h). `out` must not alias `x`.
+     * needed). Inference runs the compiled graph (compiled on first
+     * use, recompiled only for a larger batch or a flipped int8
+     * fingerprint); training runs the layer chain over the network's
+     * ping-pong activation scratch. Repeated calls with the same
+     * `out` tensor reuse its buffer, so a steady-state inference
+     * forward performs zero allocations (DESIGN.md §5h). `out` must
+     * not alias `x`.
      */
     void forwardInto(const Tensor &x, bool train, Tensor &out);
 
@@ -163,10 +166,9 @@ class Network
 
     /**
      * Compile (or recompile) the graph-dispatch schedule for batches
-     * up to `batch` (DESIGN.md §5j). forwardInto does this lazily
-     * when graphEnabled(); calling it up front — as ServeEngine does
-     * per replica at maxBatch — moves the one arena allocation out
-     * of the serving hot path. No-op when a compatible graph exists.
+     * up to `batch` (DESIGN.md §5j). Inference forwardInto does this
+     * lazily; calling it up front moves the one arena allocation out
+     * of the hot path. No-op when a compatible graph exists.
      */
     void ensureCompiledGraph(std::size_t batch);
 
@@ -177,7 +179,7 @@ class Network
      */
     void adoptGraphSchedule(const GraphSchedule &s);
 
-    /** Drop the compiled graph; next graph forward recompiles. */
+    /** Drop the compiled graph; the next inference recompiles. */
     void clearCompiledGraph();
 
     /** The active compiled graph, or nullptr. */
@@ -190,12 +192,10 @@ class Network
     std::size_t graphCompileCount() const { return graphCompiles; }
 
     /**
-     * Current bytes of steady-state inference working memory:
+     * Current bytes of steady-state working memory: training
      * ping-pong activation capacity, per-layer grow-only scratch,
      * and — when a graph is compiled — its arena and shared conv
-     * scratch pool. Parameters and caller tensors excluded. This is
-     * the `peak_arena_bytes` metric the ≥30% reduction criterion is
-     * measured on.
+     * scratch pool. Parameters and caller tensors excluded.
      */
     std::size_t steadyMemoryBytes() const;
 
@@ -205,10 +205,10 @@ class Network
     std::vector<std::unique_ptr<Layer>> layers;
     std::vector<ConvLayer *> convs;
     std::vector<FcLayer *> fcs;
-    /// forwardInto ping-pong activation scratch; grow-only,
+    /// training-forward ping-pong activation scratch; grow-only,
     /// per-network (replicas get their own via cloneSharingWeights)
     Tensor actA, actB;
-    /// compiled-graph executable (graphEnabled() dispatch); never
+    /// compiled-graph executable (every inference forward); never
     /// carried by cloneSharingWeights — each replica compiles its own
     std::unique_ptr<CompiledGraph> graph;
     std::size_t graphCompiles = 0; ///< arena allocations performed

@@ -2,9 +2,9 @@
  * @file
  * Latency-percentile and batch-size histogram helpers shared by the
  * analytical serving simulator (ServingSimulator) and the concurrent
- * serving engine (ServeEngine/ServeMetrics), so both report tails
- * with the same interpolation rule and the two can be cross-checked
- * number for number.
+ * serving engine (MultiTenantEngine/TenantMetrics), so both report
+ * tails with the same interpolation rule and the two can be
+ * cross-checked number for number.
  */
 
 #ifndef PCNN_PCNN_RUNTIME_HISTOGRAM_HH

@@ -1,11 +1,12 @@
 /**
  * @file
- * Thread-safe serving metrics: latency tails, batch-size histogram,
- * throughput, shed count, queue high-water.
+ * Thread-safe multi-tenant serving metrics: per-class latency tails
+ * and SLO attainment, throughput, shed/evict counts, queue
+ * high-water, the replica trajectory and arena gauges.
  *
- * Uses the same LatencySummary/BatchSizeHistogram helpers as the
- * analytical ServingSimulator so engine measurements and simulator
- * predictions are directly comparable.
+ * Uses the same LatencySummary helper as the analytical
+ * ServingSimulator so engine measurements and simulator predictions
+ * are directly comparable.
  */
 
 #ifndef PCNN_SERVE_METRICS_HH
@@ -21,71 +22,6 @@
 #include "pcnn/task.hh"
 
 namespace pcnn {
-
-/** Point-in-time view of an engine's metrics. */
-struct ServeMetricsSnapshot
-{
-    LatencySummary latency;       ///< submit -> completion, seconds
-    LatencySummary queueWait;     ///< submit -> service start
-    BatchSizeHistogram batchHist; ///< served-batch size distribution
-    std::uint64_t completed = 0;  ///< requests served
-    std::uint64_t shed = 0;       ///< requests rejected QueueFull
-    std::size_t queueHighWater = 0;
-    double elapsedS = 0.0;      ///< start() -> snapshot()
-    double throughputRps = 0.0; ///< completed / elapsedS
-    /// worker-thread allocations observed inside steady-state
-    /// (post-warmup, batch size already seen) forward probes; the
-    /// zero-alloc invariant (DESIGN.md §5h) requires this to stay 0
-    std::uint64_t steadyAllocs = 0;
-    /// forwards the steady-state allocation probe covered
-    std::uint64_t steadyProbedBatches = 0;
-};
-
-/** Concurrent metrics recorder shared by all engine threads. */
-class ServeMetrics
-{
-  public:
-    ServeMetrics();
-
-    /** Reset counters and restart the throughput clock. */
-    void start();
-
-    /** Count one served batch. */
-    void recordBatch(std::size_t batch);
-
-    /** Count one completed request. */
-    void recordLatency(double latency_s, double queue_s);
-
-    /** Count one rejected (QueueFull) request. */
-    void recordShed();
-
-    /** Track the observed queue depth high-water mark. */
-    void recordQueueDepth(std::size_t depth);
-
-    /**
-     * Record one steady-state allocation probe: a worker forward over
-     * a batch size it had already served, measured by
-     * ScopedAllocCount. `allocs` must be 0 for the zero-alloc
-     * invariant to hold; the snapshot exposes the sum so tests and
-     * benches can assert it.
-     */
-    void recordSteadyProbe(std::uint64_t allocs);
-
-    /** Consistent snapshot of everything recorded since start(). */
-    ServeMetricsSnapshot snapshot() const;
-
-  private:
-    mutable Mutex mu;
-    std::chrono::steady_clock::time_point started
-        PCNN_GUARDED_BY(mu);
-    std::vector<double> latencies PCNN_GUARDED_BY(mu);
-    std::vector<double> queueWaits PCNN_GUARDED_BY(mu);
-    BatchSizeHistogram hist PCNN_GUARDED_BY(mu);
-    std::uint64_t shedCount PCNN_GUARDED_BY(mu) = 0;
-    std::size_t highWater PCNN_GUARDED_BY(mu) = 0;
-    std::uint64_t steadyAllocs PCNN_GUARDED_BY(mu) = 0;
-    std::uint64_t steadyProbed PCNN_GUARDED_BY(mu) = 0;
-};
 
 /** Task classes, for indexing per-class metric arrays. */
 constexpr std::size_t kTaskClassCount = 3;
@@ -174,7 +110,13 @@ class TenantMetrics
     void setArenaBytes(std::size_t live_bytes,
                        std::size_t reserved_bytes);
 
-    /** Record one steady-state allocation probe (see ServeMetrics). */
+    /**
+     * Record one steady-state allocation probe: a worker forward over
+     * a batch size it had already served, measured by
+     * ScopedAllocCount. `allocs` must be 0 for the zero-alloc
+     * invariant (DESIGN.md §5h) to hold; the snapshot exposes the sum
+     * so tests and benches can assert it.
+     */
     void recordSteadyProbe(std::uint64_t allocs);
 
     /** Consistent snapshot of everything recorded since start(). */

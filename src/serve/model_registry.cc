@@ -5,12 +5,51 @@
 #include <utility>
 
 #include "common/check.hh"
+#include "common/logging.hh"
 #include "common/parallel.hh"
-#include "nn/fusion.hh"
 #include "nn/graph/compiled_graph.hh"
 #include "nn/model_zoo.hh"
 
 namespace pcnn {
+
+namespace {
+
+/// EWMA smoothing: heavy enough to damp scheduler noise, light
+/// enough to track DVFS-style service-time drift within ~10 batches.
+constexpr double kAlpha = 0.3;
+
+} // namespace
+
+ServiceEstimator::ServiceEstimator(std::size_t max_batch)
+    : cap(max_batch), ewma(max_batch + 1, 0.0)
+{
+    pcnn_assert(cap >= 1, "estimator maxBatch must be >= 1");
+}
+
+void
+ServiceEstimator::record(std::size_t batch, double service_s)
+{
+    pcnn_assert(batch >= 1 && batch <= cap,
+                "recorded batch out of range");
+    MutexLock lk(mu);
+    double &slot = ewma[batch];
+    slot = slot == 0.0 ? service_s
+                       : (1.0 - kAlpha) * slot + kAlpha * service_s;
+}
+
+double
+ServiceEstimator::estS(std::size_t batch) const
+{
+    const std::size_t b = std::min(batch, cap);
+    MutexLock lk(mu);
+    // Exact size first, then the largest observed size under it:
+    // service time grows with batch, so a smaller batch's time is a
+    // usable (under-)estimate while samples are still sparse.
+    for (std::size_t i = b; i >= 1; --i)
+        if (ewma[i] != 0.0)
+            return ewma[i];
+    return 0.0;
+}
 
 std::string
 registerStatusName(RegisterStatus status)
@@ -29,7 +68,7 @@ registerStatusName(RegisterStatus status)
 }
 
 Model::Model(Network prototype, ModelConfig config,
-             std::optional<GraphSchedule> schedule)
+             GraphSchedule schedule)
     : cfg(std::move(config)), proto(std::move(prototype)),
       sched(std::move(schedule)),
       est(std::max<std::size_t>(1, cfg.maxBatch))
@@ -50,14 +89,13 @@ Model::makeReplica(std::size_t lanes)
     // will own the replica so the shared conv scratch pool and the
     // warm-up below size for exactly the lanes serving will use.
     ScopedLaneLimit limit(lanes);
-    if (sched)
-        replica.adoptGraphSchedule(*sched);
+    replica.adoptGraphSchedule(sched);
 
     // Warm the full steady-state envelope before the replica is
     // published: a maxBatch forward grows every grow-only buffer
-    // (staging, scratch pool, legacy ping-pong) to its ceiling, so
-    // every smaller serving batch afterwards is allocation-free, and
-    // it materializes the shared weight panels on the first replica
+    // (staging, scratch pool) to its ceiling, so every smaller
+    // serving batch afterwards is allocation-free, and it
+    // materializes the shared weight panels on the first replica
     // (frozen weights: later replicas find them and never repack).
     const Shape &in = proto.inputShape();
     Tensor warm(Shape{cfg.maxBatch, in.c, in.h, in.w});
@@ -95,7 +133,7 @@ ModelRegistry::registerModel(Network prototype, ModelConfig config)
         }
     }
 
-    std::optional<GraphSchedule> sched;
+    GraphSchedule sched;
     if (config.schedule != nullptr) {
         // Serialized plan-v4 schedule (offline compiler): adopt-time
         // validation against the live layers is CompiledGraph's job
@@ -105,15 +143,14 @@ ModelRegistry::registerModel(Network prototype, ModelConfig config)
         if (config.schedule->batch < config.maxBatch)
             return RegisterStatus::ScheduleBatchTooSmall;
         sched = *config.schedule;
-    } else if (graphEnabled()) {
-        // Compile-on-register fallback: run the pass pipeline once;
-        // pure data, no arena is allocated here.
+    } else {
+        // Compile-on-register: run the pass pipeline once; pure
+        // data, no arena is allocated here.
         sched = buildGraphSchedule(prototype, config.maxBatch);
     }
 
-    const std::size_t arena =
-        sched ? sched->arenaFloats * sizeof(float) : 0;
-    const std::size_t want = arena * config.maxReplicas;
+    const std::size_t want =
+        sched.arenaFloats * sizeof(float) * config.maxReplicas;
     if (cfg.arenaBudgetBytes != 0 &&
         reserved + want > cfg.arenaBudgetBytes)
         return RegisterStatus::BudgetExceeded;

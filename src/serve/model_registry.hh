@@ -14,8 +14,7 @@
  * The schedule is built (or adopted from a serialized plan-v4
  * section) exactly once per model at registration; replicas then
  * adopt the same pure-data schedule, so N replicas cost N arena
- * allocations and zero graph recompiles — the per-engine compile in
- * the single-model ServeEngine generalized to a shared artifact.
+ * allocations and zero graph recompiles.
  */
 
 #ifndef PCNN_SERVE_MODEL_REGISTRY_HH
@@ -23,15 +22,47 @@
 
 #include <cstddef>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/mutex.hh"
 #include "nn/graph/graph_ir.hh"
 #include "nn/network.hh"
-#include "serve/batcher.hh"
 
 namespace pcnn {
+
+/**
+ * Thread-safe per-batch-size EWMA service-time model. Workers feed
+ * measured batch execution times back after every batch; the
+ * scheduler's background slack admission and the autoscaler read
+ * smoothed estimates.
+ */
+class ServiceEstimator
+{
+  public:
+    /** @param max_batch largest batch size tracked (>= 1) */
+    explicit ServiceEstimator(std::size_t max_batch);
+
+    /** Largest batch size tracked. */
+    std::size_t maxBatch() const { return cap; }
+
+    /** Feed back one measured batch execution time. */
+    void record(std::size_t batch, double service_s);
+
+    /**
+     * Estimated service time of a batch: the EWMA for that size, the
+     * largest observed size at or under it as a fallback, 0 before
+     * any observation (optimistic: never act earlier than measured
+     * evidence demands).
+     */
+    double estS(std::size_t batch) const;
+
+  private:
+    std::size_t cap;
+    mutable Mutex mu;
+    /// [batch] -> smoothed seconds, 0 unset
+    std::vector<double> ewma PCNN_GUARDED_BY(mu);
+};
 
 /** Per-model registration parameters. */
 struct ModelConfig
@@ -74,8 +105,7 @@ class Model
 {
   public:
     /** Built by ModelRegistry::registerModel. */
-    Model(Network prototype, ModelConfig config,
-          std::optional<GraphSchedule> sched);
+    Model(Network prototype, ModelConfig config, GraphSchedule sched);
 
     Model(const Model &) = delete;
     Model &operator=(const Model &) = delete;
@@ -98,20 +128,13 @@ class Model
     /** The frozen prototype (perforation state visible to tests). */
     Network &prototype() { return proto; }
 
-    /** The shared schedule, or nullptr when the graph path is off. */
-    const GraphSchedule *schedule() const
-    {
-        return sched ? &*sched : nullptr;
-    }
+    /** The shared schedule every replica adopts. */
+    const GraphSchedule &schedule() const { return sched; }
 
-    /**
-     * Activation-arena bytes ONE replica allocates when it adopts
-     * the schedule (0 with the graph path off: the legacy ping-pong
-     * scratch grows lazily instead).
-     */
+    /** Activation-arena bytes ONE replica allocates on adoption. */
     std::size_t replicaArenaBytes() const
     {
-        return sched ? sched->arenaFloats * sizeof(float) : 0;
+        return sched.arenaFloats * sizeof(float);
     }
 
     /** Arena bytes reserved for this model at its replica ceiling. */
@@ -142,7 +165,7 @@ class Model
   private:
     ModelConfig cfg;
     Network proto;
-    std::optional<GraphSchedule> sched;
+    GraphSchedule sched;
     ServiceEstimator est;
 };
 

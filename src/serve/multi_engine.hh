@@ -2,13 +2,14 @@
  * @file
  * Multi-model, multi-tenant serving engine (DESIGN.md §5k).
  *
- * Generalizes the single-model ServeEngine: one shared worker pool
- * serves every model in a ModelRegistry through the QueueFabric's
- * priority rules. Each model owns a replica pool (clones sharing the
- * frozen prototype's weights and panels, each with its own adopted
- * graph arena); a scaler thread grows and shrinks the pools with the
- * hysteresis policy in autoscaler.hh, cloning replicas without a
- * single weight repack or graph recompile.
+ * The one serving engine: one shared worker pool serves every model
+ * in a ModelRegistry through the QueueFabric's priority rules (a
+ * single-model deployment is a registry of one). Each model owns a
+ * replica pool (clones sharing the frozen prototype's weights and
+ * panels, each with its own adopted graph arena); a scaler thread
+ * grows and shrinks the pools with the hysteresis policy in
+ * autoscaler.hh, cloning replicas without a single weight repack or
+ * graph recompile.
  *
  * Request flow: submit(model, class, image) -> fabric lanes ->
  * worker takes a grant, pops an idle replica of the granted model,
@@ -134,6 +135,16 @@ class MultiTenantEngine
         std::vector<Network> idle PCNN_GUARDED_BY(mu);
     };
 
+    /** One worker's persistent serving buffers, indexed by model. */
+    struct WorkerScratch
+    {
+        std::vector<Tensor> stage;  ///< batch input staging
+        std::vector<Tensor> logits; ///< batch forward output
+        /// largest batch served so far: batches no larger than it
+        /// are steady state and get the zero-alloc probe
+        std::vector<std::size_t> maxSeen;
+    };
+
     /** Worker loop: take a grant, run it, fulfill the promises. */
     void serveLoop(std::size_t worker);
 
@@ -156,6 +167,9 @@ class MultiTenantEngine
     mutable TenantMetrics meter;
     QueueFabric fabric;
     std::vector<std::unique_ptr<Pool>> pools;
+    /// one per worker; grown before the workers start, so the serve
+    /// loop reuses capacity and never constructs a container
+    std::vector<WorkerScratch> scratch;
 
     mutable Mutex scaleMu;
     CondVar scaleCv;

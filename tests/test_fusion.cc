@@ -1,13 +1,14 @@
 /**
  * @file
- * Tests for the inference ReLU-folding peephole and the fused SGEMM
- * epilogues behind it. The folding contract (DESIGN.md §5e): at
- * inference, a Conv/Fc layer followed by a ReLU layer runs its
- * fused-epilogue forward and the ReLU layer is skipped; the result
- * is BITWISE identical to the unfolded pair, because the epilogue
- * clamps exactly the sums the separate ReLU pass would have seen.
- * Training-mode forwards never fold (the ReLU layer must cache its
- * mask for backward).
+ * Tests for inference ReLU folding and the fused SGEMM epilogues
+ * behind it. The folding contract (DESIGN.md §5e): at inference, the
+ * compiled graph's fuse-relu pass runs a Conv/Fc layer followed by a
+ * ReLU layer as the producer's fused-epilogue forward and drops the
+ * ReLU op; the result is BITWISE identical to the unfused pair
+ * (tests/unfused_reference.hh), because the epilogue clamps exactly
+ * the sums the separate ReLU pass would have seen. Training-mode
+ * forwards never fold (the ReLU layer must cache its mask for
+ * backward).
  */
 
 #include <gtest/gtest.h>
@@ -23,19 +24,15 @@
 #include "nn/relu_layer.hh"
 #include "tensor/tensor.hh"
 #include "tolerance.hh"
-#include "train/sgd.hh"
+#include "unfused_reference.hh"
 
 namespace pcnn {
 namespace {
 
-/** Restore process-wide fusion toggles whatever the test does. */
+/** Restore the forced conv algorithm whatever the test does. */
 struct ToggleGuard
 {
-    ~ToggleGuard()
-    {
-        setReluFolding(true);
-        clearForcedConvAlgo();
-    }
+    ~ToggleGuard() { clearForcedConvAlgo(); }
 };
 
 ConvSpec
@@ -88,9 +85,7 @@ checkConvReluFold(ConvAlgo algo, std::size_t kernel,
     net.convLayers()[0]->setAlgo(algo);
 
     const Tensor x = randomInput(2, 4, 8, 8, 11);
-    setReluFolding(false);
-    const Tensor unfolded = net.forward(x, false);
-    setReluFolding(true);
+    const Tensor unfolded = unfusedReference(net, x);
     const Tensor folded = net.forward(x, false);
     expectBitwise(unfolded, folded, convAlgoName(algo));
 
@@ -125,9 +120,7 @@ TEST(Fusion, FcReluFoldBitwise)
     net.add<ReluLayer>("relu0");
 
     const Tensor x = randomInput(3, 3, 4, 4, 22);
-    setReluFolding(false);
-    const Tensor unfolded = net.forward(x, false);
-    setReluFolding(true);
+    const Tensor unfolded = unfusedReference(net, x);
     const Tensor folded = net.forward(x, false);
     expectBitwise(unfolded, folded, "fc");
     for (std::size_t i = 0; i < folded.size(); ++i)
@@ -147,9 +140,7 @@ TEST(Fusion, MiniVggFoldedVsUnfoldedBitwiseOnExactRoute)
     Network net = makeMiniVgg(rng);
     const Tensor x = randomInput(2, 1, 16, 16, 32);
 
-    setReluFolding(false);
-    const Tensor unfolded = net.forward(x, false);
-    setReluFolding(true);
+    const Tensor unfolded = unfusedReference(net, x);
     const Tensor folded = net.forward(x, false);
     expectBitwise(unfolded, folded, "minivgg");
 }
@@ -163,9 +154,7 @@ TEST(Fusion, MiniVggFoldedVsUnfoldedAutoDispatch)
     Network net = makeMiniVgg(rng);
     const Tensor x = randomInput(2, 1, 16, 16, 36);
 
-    setReluFolding(false);
-    const Tensor unfolded = net.forward(x, false);
-    setReluFolding(true);
+    const Tensor unfolded = unfusedReference(net, x);
     const Tensor folded = net.forward(x, false);
     // Same algorithm either way, so still bitwise in practice; hold
     // it to the winograd budget to keep the test pinned to the
@@ -182,18 +171,17 @@ TEST(Fusion, MiniInceptionFoldedVsUnfoldedBitwise)
     Network net = makeMiniInception(rng);
     const Tensor x = randomInput(1, 1, 16, 16, 42);
 
-    setReluFolding(false);
-    const Tensor unfolded = net.forward(x, false);
-    setReluFolding(true);
+    const Tensor unfolded = unfusedReference(net, x);
     const Tensor folded = net.forward(x, false);
     expectBitwise(unfolded, folded, "miniinception");
 }
 
 /**
  * Training-mode forwards never fold: the ReLU layers must see the
- * pre-activation values and cache their masks, so a full
- * forward/backward/step cycle works with folding enabled, and the
- * training forward is bitwise independent of the folding toggle.
+ * pre-activation values and cache their masks. Network's training
+ * forward is the plain layer chain, so it is bitwise equal to the
+ * same chain driven by hand, and backward through the (unfolded)
+ * ReLU layers produces identical gradients on both networks.
  */
 TEST(Fusion, TrainingNeverFolds)
 {
@@ -206,17 +194,13 @@ TEST(Fusion, TrainingNeverFolds)
     Network b = makeMiniVgg(rng_b);
     const Tensor x = randomInput(2, 1, 16, 16, 52);
 
-    setReluFolding(true);
     const Tensor la = a.forward(x, true);
-    setReluFolding(false);
-    const Tensor lb = b.forward(x, true);
+    Tensor lb = x;
+    for (std::size_t i = 0; i < b.size(); ++i)
+        lb = b.layer(i).forward(lb, true);
     expectBitwise(lb, la, "train forward");
 
-    // Backward through the (not-folded) ReLU layers must work and
-    // produce identical gradients on both networks.
-    setReluFolding(true);
     a.backward(la);
-    setReluFolding(false);
     b.backward(lb);
     auto pa = a.params();
     auto pb = b.params();
@@ -227,16 +211,6 @@ TEST(Fusion, TrainingNeverFolds)
             ASSERT_EQ(pa[i]->grad[j], pb[i]->grad[j])
                 << "param " << i << " j=" << j;
     }
-}
-
-/** The toggle itself: disabling folding is observable and clean. */
-TEST(Fusion, SetReluFoldingTogglesDispatch)
-{
-    ToggleGuard guard;
-    setReluFolding(false);
-    EXPECT_FALSE(reluFoldingEnabled());
-    setReluFolding(true);
-    EXPECT_TRUE(reluFoldingEnabled());
 }
 
 } // namespace

@@ -5,16 +5,17 @@
  * The contract under test has three legs:
  *
  *  1. Bitwise parity. The graph path invokes the same layer forwards
- *     in the same order on the same bytes as the legacy ping-pong
- *     chain, so logits must be bitwise identical for every model-zoo
- *     network, batch size, kernel tier (fp32 / forced int8 /
- *     perforated), and folding mode — at every PCNN_THREADS width
- *     (the .threads2 re-run covers that axis).
+ *     in the same order on the same bytes as the unfused layer chain
+ *     (tests/unfused_reference.hh), its fused ReLUs clamping exactly
+ *     the sums a separate ReLU pass would see, so logits must be
+ *     bitwise identical for every model-zoo network, batch size and
+ *     kernel tier (fp32 / forced int8 / perforated) — at every
+ *     PCNN_THREADS width (the .threads2 re-run covers that axis).
  *
  *  2. The static arena. One allocation per compiled graph, offsets
  *     respecting lifetimes, peak activation memory well below the
- *     legacy ping-pong + per-layer scratch sum, and zero allocator
- *     traffic in steady state.
+ *     layer chain's ping-pong + per-layer scratch sum, and zero
+ *     allocator traffic in steady state.
  *
  *  3. Plan v4. A schedule round-trips through the plan file format,
  *     and hostile bytes — truncation, out-of-range offsets, edited
@@ -38,21 +39,17 @@
 #include "nn/network.hh"
 #include "pcnn/offline/compiler.hh"
 #include "pcnn/offline/plan_io.hh"
-#include "serve/engine.hh"
+#include "serve/multi_engine.hh"
+#include "unfused_reference.hh"
 
 namespace pcnn {
 namespace {
 
-/** Restores every process-wide toggle a test flips. */
+/** Restores the quantization toggle when a test flips it. */
 class ToggleGuard
 {
   public:
-    ~ToggleGuard()
-    {
-        setGraphEnabled(false);
-        setReluFolding(true);
-        clearQuantizeForced();
-    }
+    ~ToggleGuard() { clearQuantizeForced(); }
 };
 
 bool
@@ -87,20 +84,16 @@ zooInput(const Network &net, std::size_t n, unsigned seed)
     return x;
 }
 
-/** Legacy logits vs. graph logits on the same network and input. */
+/** Unfused-chain logits vs. graph logits on one network and input. */
 void
 expectGraphParity(Network &net, const Tensor &x)
 {
-    setGraphEnabled(false);
-    Tensor legacy;
-    net.forwardInto(x, false, legacy);
-    setGraphEnabled(true);
+    const Tensor want = unfusedReference(net, x);
     Tensor graph;
     net.forwardInto(x, false, graph);
-    setGraphEnabled(false);
-    EXPECT_TRUE(bitwiseEqual(legacy, graph))
+    EXPECT_TRUE(bitwiseEqual(want, graph))
         << net.name() << " n=" << x.shape().n
-        << ": graph logits diverge from the legacy chain";
+        << ": graph logits diverge from the unfused layer chain";
 }
 
 // ------------------------------------------------- bitwise parity
@@ -118,30 +111,22 @@ TEST(GraphParity, MatchesLegacyAcrossZooAndBatches)
     }
 }
 
-TEST(GraphParity, MatchesLegacyWithFoldingDisabled)
-{
-    ToggleGuard guard;
-    setReluFolding(false);
-    for (int z = 0; z < kZooCount; ++z) {
-        Network net = zooNet(z, 23u + unsigned(z));
-        const Tensor x = zooInput(net, 5, 31u);
-        expectGraphParity(net, x);
-    }
-}
-
 TEST(GraphParity, MatchesLegacyUnderForcedInt8)
 {
     ToggleGuard guard;
     setQuantizeForced(true);
     for (int z = 0; z < kZooCount; ++z) {
         Network net = zooNet(z, 41u + unsigned(z));
-        const Tensor x = zooInput(net, 4, 43u);
-        // Dynamic activation-quant params are batch-coupled, so the
-        // compiler must fall back to batch-wide execution.
-        expectGraphParity(net, x);
-        ASSERT_NE(net.compiledGraph(), nullptr);
-        EXPECT_EQ(net.compiledGraph()->schedule().tiledOps, 0u)
-            << net.name() << ": int8 schedules must not item-tile";
+        for (std::size_t n : {std::size_t(1), std::size_t(3),
+                              std::size_t(16)}) {
+            const Tensor x = zooInput(net, n, 43u + unsigned(n));
+            // Dynamic activation-quant params are batch-coupled, so
+            // the compiler must fall back to batch-wide execution.
+            expectGraphParity(net, x);
+            ASSERT_NE(net.compiledGraph(), nullptr);
+            EXPECT_EQ(net.compiledGraph()->schedule().tiledOps, 0u)
+                << net.name() << ": int8 schedules must not item-tile";
+        }
     }
 }
 
@@ -157,27 +142,23 @@ TEST(GraphParity, MatchesLegacyUnderPerforation)
 
 TEST(GraphParity, ToggleFlipsRecompileNotCorrupt)
 {
-    // Flipping fold/quant toggles between graph runs must recompile
-    // (stale fingerprint) and keep matching the legacy chain.
+    // Flipping the quantization toggle between graph runs must
+    // recompile (stale fingerprint) and keep matching the unfused
+    // chain.
     ToggleGuard guard;
     Network net = zooNet(1, 61u); // MiniInception
     const Tensor x = zooInput(net, 4, 67u);
     expectGraphParity(net, x);
     const std::size_t compiles = net.graphCompileCount();
-    setReluFolding(false);
+    setQuantizeForced(!quantizeForced());
     expectGraphParity(net, x);
     EXPECT_GT(net.graphCompileCount(), compiles);
-    setReluFolding(true);
-    setQuantizeForced(true);
-    expectGraphParity(net, x);
     clearQuantizeForced();
     expectGraphParity(net, x);
 }
 
 TEST(GraphParity, RepeatRunsAreDeterministic)
 {
-    ToggleGuard guard;
-    setGraphEnabled(true);
     Network net = zooNet(2, 71u);
     const Tensor x = zooInput(net, 8, 73u);
     Tensor a, b;
@@ -209,17 +190,16 @@ TEST(GraphPasses, DropoutIsPruned)
 
 TEST(GraphPasses, FusedReluOpsAppearWhenFoldingOn)
 {
-    ToggleGuard guard;
-    Network net = zooNet(0, 83u); // MiniVgg: conv+relu chains
-    setReluFolding(true);
-    const GraphSchedule fused = buildGraphSchedule(net, 4);
-    setReluFolding(false);
-    const GraphSchedule plain = buildGraphSchedule(net, 4);
+    // MiniVgg: every ReLU directly follows a conv or fc, so the
+    // fuse-relu pass folds all of them into their producers.
+    Network net = zooNet(0, 83u);
+    const GraphSchedule s = buildGraphSchedule(net, 4);
     std::size_t fusedOps = 0;
-    for (const GraphOp &op : fused.ops)
+    for (const GraphOp &op : s.ops) {
         fusedOps += op.exec == GraphOpExec::LayerFusedRelu ? 1 : 0;
-    EXPECT_GT(fusedOps, 0u);
-    EXPECT_LT(fused.ops.size(), plain.ops.size());
+        EXPECT_NE(op.layerKind, "relu") << "unfused " << op.layerName;
+    }
+    EXPECT_EQ(fusedOps, 5u);
 }
 
 TEST(GraphPasses, InceptionConcatStagingIsEliminatedWhenTiled)
@@ -239,26 +219,26 @@ TEST(GraphArena, PeakMemoryDropsAtLeast30Percent)
 {
     // The acceptance criterion: peak steady activation memory on
     // MiniVgg and MiniInception at batch 16 drops >= 30% vs. the
-    // legacy ping-pong chain + per-layer scratch. Fresh networks per
-    // path so neither measurement carries the other's buffers.
-    ToggleGuard guard;
+    // unfused layer chain's ping-pong buffers + per-layer scratch.
+    // Fresh networks per path so neither measurement carries the
+    // other's buffers.
     for (int z : {0, 1}) {
-        Network legacy = zooNet(z, 97u + unsigned(z));
+        Network chain = zooNet(z, 97u + unsigned(z));
         Network graph = zooNet(z, 97u + unsigned(z));
-        const Tensor x = zooInput(legacy, 16, 101u);
-        Tensor out;
-        setGraphEnabled(false);
-        legacy.forwardInto(x, false, out);
-        legacy.forwardInto(x, false, out);
-        const std::size_t legacyBytes = legacy.steadyMemoryBytes();
-        setGraphEnabled(true);
+        const Tensor x = zooInput(chain, 16, 101u);
+        Tensor out, a, b;
+        unfusedForward(chain, x, out, a, b);
+        unfusedForward(chain, x, out, a, b);
+        std::size_t chainBytes =
+            (a.capacityFloats() + b.capacityFloats()) * sizeof(float);
+        for (std::size_t i = 0; i < chain.size(); ++i)
+            chainBytes += chain.layer(i).steadyStateScratchBytes();
         graph.forwardInto(x, false, out);
         graph.forwardInto(x, false, out);
         const std::size_t graphBytes = graph.steadyMemoryBytes();
-        setGraphEnabled(false);
-        EXPECT_LE(double(graphBytes), 0.70 * double(legacyBytes))
-            << legacy.name() << ": arena " << graphBytes
-            << " bytes vs legacy " << legacyBytes;
+        EXPECT_LE(double(graphBytes), 0.70 * double(chainBytes))
+            << chain.name() << ": arena " << graphBytes
+            << " bytes vs layer chain " << chainBytes;
     }
 }
 
@@ -280,8 +260,6 @@ TEST(GraphArena, SteadyStateRunsAreAllocationFree)
 {
     if (!allocCountingEnabled())
         GTEST_SKIP() << "PCNN_COUNT_ALLOCS disabled in this build";
-    ToggleGuard guard;
-    setGraphEnabled(true);
     for (int z = 0; z < kZooCount; ++z) {
         Network net = zooNet(z, 107u + unsigned(z));
         const Tensor x16 = zooInput(net, 16, 109u);
@@ -362,24 +340,19 @@ TEST(GraphPlanV4, RoundTripPreservesSchedule)
 
 TEST(GraphPlanV4, AdoptedScheduleMatchesLegacyBitwise)
 {
-    ToggleGuard guard;
     PlanFixture fx;
     const auto bytes = serializePlan(fx.plan);
     const auto loaded = deserializePlan(bytes);
     ASSERT_TRUE(loaded.has_value() && loaded->schedule.has_value());
 
     // attachGraphSchedule pinned fx.net to the plan's tier choices;
-    // the adopted schedule must reproduce the pinned legacy chain.
+    // the adopted schedule must reproduce the pinned unfused chain.
     fx.net.adoptGraphSchedule(*loaded->schedule);
     const Tensor x = zooInput(fx.net, fx.plan.batch, 131u);
-    setGraphEnabled(false);
-    Tensor legacy;
-    fx.net.forwardInto(x, false, legacy);
-    setGraphEnabled(true);
+    const Tensor want = unfusedReference(fx.net, x);
     Tensor graph;
     fx.net.forwardInto(x, false, graph);
-    setGraphEnabled(false);
-    EXPECT_TRUE(bitwiseEqual(legacy, graph));
+    EXPECT_TRUE(bitwiseEqual(want, graph));
     // Adoption counts as the one compile; running must not add more.
     EXPECT_EQ(fx.net.graphCompileCount(), 1u);
 }
@@ -502,40 +475,53 @@ TEST(GraphPlanV4, ScheduleBatchMismatchIsRejected)
 
 TEST(GraphServe, OneArenaPerReplicaAndBitwiseResults)
 {
-    ToggleGuard guard;
-    Network proto = zooNet(1, 137u); // MiniInception
-    const Tensor probe = zooInput(proto, 1, 139u);
-    setGraphEnabled(false);
-    Tensor want;
-    proto.forwardInto(probe, false, want);
+    ModelRegistry reg;
+    ModelConfig mc;
+    mc.name = "incep";
+    mc.maxBatch = 4;
+    mc.maxReplicas = 2;
+    ASSERT_EQ(reg.registerModel(zooNet(1, 137u), std::move(mc)),
+              RegisterStatus::Registered); // MiniInception
+    Model &model = reg.model(0);
+    const Tensor probe = zooInput(model.prototype(), 1, 139u);
+    const Tensor want = unfusedReference(model.prototype(), probe);
 
-    setGraphEnabled(true);
-    EngineConfig cfg;
-    cfg.workers = 2;
-    cfg.maxBatch = 4;
-    ServeEngine engine(proto, cfg);
-    for (std::size_t w = 0; w < engine.workerCount(); ++w) {
-        // Exactly one compile — one arena allocation — per replica,
-        // taken in the constructor at the batch ceiling.
-        EXPECT_EQ(engine.replicaGraphCompiles(w), 1u) << "worker " << w;
-        EXPECT_GT(engine.replicaArenaBytes(w), 0u) << "worker " << w;
+    // A replica adopts the registration-time schedule: exactly one
+    // compile, i.e. one arena allocation, taken before it serves,
+    // and no recompile for any batch up to the ceiling.
+    {
+        Network replica = model.makeReplica(1);
+        EXPECT_EQ(replica.graphCompileCount(), 1u);
+        ASSERT_NE(replica.compiledGraph(), nullptr);
+        EXPECT_EQ(replica.compiledGraph()->arenaBytes(),
+                  model.replicaArenaBytes());
+        EXPECT_GT(model.replicaArenaBytes(), 0u);
+        Tensor out;
+        replica.forwardInto(zooInput(model.prototype(), 3, 141u), false,
+                            out);
+        replica.forwardInto(probe, false, out);
+        EXPECT_TRUE(bitwiseEqual(out, want));
+        EXPECT_EQ(replica.graphCompileCount(), 1u)
+            << "replica recompiled while serving";
     }
 
-    std::vector<std::future<ServeResult>> futs;
+    MultiEngineConfig cfg;
+    cfg.workers = 2;
+    cfg.initialReplicas = 2;
+    MultiTenantEngine engine(reg, cfg);
+    EXPECT_EQ(engine.liveArenaBytes(), 2 * model.replicaArenaBytes());
+    std::vector<std::future<TenantResult>> futs;
     for (int i = 0; i < 12; ++i) {
-        auto sub = engine.submit(probe);
+        auto sub = engine.submit(0, TaskClass::Interactive, probe);
         ASSERT_EQ(sub.status, SubmitStatus::Accepted);
         futs.push_back(std::move(sub.result));
     }
-    for (auto &f : futs) {
-        const ServeResult r = f.get();
-        EXPECT_TRUE(bitwiseEqual(r.logits, want))
-            << "served logits diverge from the prototype's";
-    }
+    for (auto &f : futs)
+        EXPECT_TRUE(bitwiseEqual(f.get().logits, want))
+            << "served logits diverge from the unfused chain";
     engine.stop();
-    for (std::size_t w = 0; w < engine.workerCount(); ++w)
-        EXPECT_EQ(engine.replicaGraphCompiles(w), 1u)
-            << "worker " << w << " recompiled while serving";
+    // A recompile would allocate a new arena inside a probed forward.
+    EXPECT_EQ(engine.metrics().steadyAllocs, 0u);
 }
 
 } // namespace

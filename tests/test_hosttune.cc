@@ -11,7 +11,6 @@
 
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <string>
 
 #include "pcnn/offline/host_tuner.hh"
@@ -44,14 +43,6 @@ std::string
 tmpPath(const std::string &name)
 {
     return ::testing::TempDir() + name;
-}
-
-void
-writeFile(const std::string &path, const std::string &text)
-{
-    std::ofstream f(path, std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(f) << path;
-    f << text;
 }
 
 TEST(HostTune, SerializeParseRoundTrip)

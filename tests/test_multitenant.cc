@@ -19,7 +19,6 @@
 #include "common/alloc_count.hh"
 #include "common/parallel.hh"
 #include "common/random.hh"
-#include "nn/fusion.hh"
 #include "nn/graph/compiled_graph.hh"
 #include "nn/model_zoo.hh"
 #include "pcnn/offline/plan_io.hh"
@@ -128,8 +127,6 @@ TEST(ModelRegistry, RejectsDuplicateNames)
 
 TEST(ModelRegistry, ArenaBudgetRejectsCleanly)
 {
-    if (!graphEnabled())
-        GTEST_SKIP() << "arena accounting needs the graph path";
     Rng rng(7);
     // First find one model's true reservation, then set a budget
     // that admits exactly one model.
@@ -196,8 +193,6 @@ TEST(ModelRegistry, MiniZooRegistersBothPerforationLevels)
 
 TEST(ModelRegistry, AdoptsSerializedPlanScheduleBitwise)
 {
-    if (!graphEnabled())
-        GTEST_SKIP() << "schedule adoption needs the graph path";
     Rng rng(31);
     Network net = makeMiniVgg(rng);
 
@@ -220,10 +215,9 @@ TEST(ModelRegistry, AdoptsSerializedPlanScheduleBitwise)
     ASSERT_EQ(reg.registerModel(makeMiniVgg(rng2), std::move(mc)),
               RegisterStatus::Registered);
     // The registered model adopted the deserialized schedule as-is.
-    ASSERT_NE(reg.model(0).schedule(), nullptr);
-    EXPECT_EQ(reg.model(0).schedule()->arenaFloats,
+    EXPECT_EQ(reg.model(0).schedule().arenaFloats,
               plan.schedule->arenaFloats);
-    EXPECT_EQ(reg.model(0).schedule()->ops.size(),
+    EXPECT_EQ(reg.model(0).schedule().ops.size(),
               plan.schedule->ops.size());
 
     // And replicas serve bitwise-identical logits through it.
@@ -644,10 +638,8 @@ TEST(MultiTenant, ArenaGaugesTrackPoolsAndRegistry)
     const TenantMetricsSnapshot m = engine.metrics();
     EXPECT_EQ(m.liveArenaBytes, engine.liveArenaBytes());
     EXPECT_EQ(m.reservedArenaBytes, reg.totalReservedArenaBytes());
-    if (graphEnabled()) {
-        EXPECT_GT(perVgg, 0u);
-        EXPECT_LE(m.liveArenaBytes, m.reservedArenaBytes);
-    }
+    EXPECT_GT(perVgg, 0u);
+    EXPECT_LE(m.liveArenaBytes, m.reservedArenaBytes);
 }
 
 TEST(MultiTenant, ScalerThreadGrowsUnderLoadAndShrinksWhenIdle)

@@ -1,26 +1,34 @@
 /**
  * @file
- * Concurrent serving engine tests (DESIGN.md §5f): bounded-queue
- * backpressure, deadline-aware batching policy, drain-on-stop,
- * bitwise-identical multi-replica inference over shared weight
- * panels, steady-state zero-repack, and the shared-weight mutation
- * contracts.
+ * Single-model serving tests (DESIGN.md §5f): the request queue
+ * (QueueFabric) on its own, then a MultiTenantEngine over a registry
+ * of one model. Covers multi-producer exactly-once delivery,
+ * bounded-queue backpressure, batch and tail metrics, drain-on-stop,
+ * lane partitioning, bitwise-identical logits across worker counts
+ * over shared weight panels, steady-state zero-repack, and the
+ * shared-weight mutation contracts.
+ *
+ * Tests that need requests to pile up take the model's only replica
+ * out of the fabric's schedulable pool (QueueFabric::removeIdle) and
+ * hand it back afterwards: the engine serves whatever is queued the
+ * moment a replica is free, so this is what makes queue contents
+ * deterministic.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <cstring>
+#include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
-#include "common/parallel.hh"
 #include "common/random.hh"
-#include "gpu/gpu_spec.hh"
 #include "nn/model_zoo.hh"
 #include "nn/serialize.hh"
-#include "pcnn/offline/batch_selector.hh"
-#include "serve/engine.hh"
+#include "serve/multi_engine.hh"
 #include "tensor/tensor_ops.hh"
 #include "tensor/winograd.hh"
 #include "train/sgd.hh"
@@ -42,15 +50,6 @@ class ThreadsafeDeathStyle : public ::testing::Environment
 const auto *const g_death_style =
     ::testing::AddGlobalTestEnvironment(new ThreadsafeDeathStyle);
 
-/** A background-style requirement: no deadline pressure at all. */
-UserRequirement
-relaxedReq()
-{
-    UserRequirement r;
-    r.timeInsensitive = true;
-    return r;
-}
-
 Tensor
 randomInput(Rng &rng, const Shape &in)
 {
@@ -59,83 +58,117 @@ randomInput(Rng &rng, const Shape &in)
     return t;
 }
 
-// --------------------------------------------------------- Batcher
-
-TEST(Batcher, FullBatchFlushesImmediately)
+bool
+bitwiseEqual(const Tensor &a, const Tensor &b)
 {
-    Batcher b(BatcherConfig{4, relaxedReq(), 10.0});
-    EXPECT_EQ(b.waitBudgetS(0.0, 4), 0.0);
-    EXPECT_EQ(b.waitBudgetS(0.0, 9), 0.0);
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) ==
+               0;
 }
 
-TEST(Batcher, TimeInsensitiveWaitsUpToMaxWait)
+/** A registry holding one MiniAlexNet built from `seed`. */
+void
+registerAlex(ModelRegistry &reg, unsigned seed,
+             std::size_t max_batch = 1, std::size_t max_replicas = 4)
 {
-    Batcher b(BatcherConfig{4, relaxedReq(), 2.0});
-    EXPECT_DOUBLE_EQ(b.waitBudgetS(0.0, 1), 2.0);
-    EXPECT_DOUBLE_EQ(b.waitBudgetS(1.5, 1), 0.5);
-    EXPECT_EQ(b.waitBudgetS(2.5, 1), 0.0);
+    Rng rng(seed);
+    ModelConfig mc;
+    mc.name = "alex";
+    mc.maxBatch = max_batch;
+    mc.maxReplicas = max_replicas;
+    ASSERT_EQ(reg.registerModel(makeMiniAlexNet(rng), std::move(mc)),
+              RegisterStatus::Registered);
 }
 
-TEST(Batcher, DeadlineSlackShrinksBudget)
+MultiEngineConfig
+quickConfig(std::size_t workers, std::size_t queue_capacity = 64)
 {
-    UserRequirement req; // interactive: T_i = 0.1 s
-    Batcher b(BatcherConfig{8, req, 10.0});
-    // No service estimate yet: the whole imperceptible region is
-    // slack, so the budget is T_i - age.
-    EXPECT_NEAR(b.waitBudgetS(0.02, 1), 0.08, 1e-12);
-    // A measured service time eats into the slack.
-    b.recordService(8, 0.06);
-    EXPECT_NEAR(b.waitBudgetS(0.02, 1), 0.02, 1e-12);
-    // Past the point of no return the budget clamps to zero.
-    EXPECT_EQ(b.waitBudgetS(0.09, 1), 0.0);
+    MultiEngineConfig cfg;
+    cfg.workers = workers;
+    cfg.initialReplicas = workers;
+    cfg.fabric.queueCapacity = queue_capacity;
+    return cfg;
 }
+
+// --------------------------------------------------------- batcher
+
+// Batch formation sizes batches by the registered model's learned
+// per-batch service time (Model::estimator); workers record into it
+// after every batch.
 
 TEST(Batcher, EstServiceFallsBackToSmallerBatch)
 {
-    Batcher b(BatcherConfig{8, relaxedReq(), 1.0});
-    EXPECT_EQ(b.estServiceS(8), 0.0);
-    b.recordService(2, 0.010);
-    EXPECT_DOUBLE_EQ(b.estServiceS(8), 0.010); // nearest under 8
-    b.recordService(8, 0.030);
-    EXPECT_DOUBLE_EQ(b.estServiceS(8), 0.030); // exact beats fallback
-    EXPECT_DOUBLE_EQ(b.estServiceS(2), 0.010);
+    ModelRegistry reg;
+    registerAlex(reg, 1, 8);
+    ServiceEstimator &est = reg.model(0).estimator();
+    EXPECT_EQ(est.maxBatch(), 8u);
+    EXPECT_EQ(est.estS(8), 0.0);
+    est.record(2, 0.010);
+    EXPECT_DOUBLE_EQ(est.estS(8), 0.010); // nearest under 8
+    est.record(8, 0.030);
+    EXPECT_DOUBLE_EQ(est.estS(8), 0.030); // exact beats fallback
+    EXPECT_DOUBLE_EQ(est.estS(2), 0.010);
 }
 
 TEST(Batcher, RecordServiceSmoothes)
 {
-    Batcher b(BatcherConfig{1, relaxedReq(), 0.0});
-    b.recordService(1, 0.100);
-    b.recordService(1, 0.200);
-    const double est = b.estServiceS(1);
-    EXPECT_GT(est, 0.100);
-    EXPECT_LT(est, 0.200);
+    ModelRegistry reg;
+    registerAlex(reg, 1, 1);
+    ServiceEstimator &est = reg.model(0).estimator();
+    est.record(1, 0.100);
+    est.record(1, 0.200);
+    EXPECT_GT(est.estS(1), 0.100);
+    EXPECT_LT(est.estS(1), 0.200);
 }
 
-// ---------------------------------------------------- RequestQueue
+// ---------------------------------------------------- request queue
 
-PendingRequest
+/** An interactive request for model 0 with a unit-shaped input. */
+TenantRequest
 makeReq(std::uint64_t id)
 {
-    PendingRequest r;
+    TenantRequest r;
     r.id = id;
+    r.cls = TaskClass::Interactive;
+    r.req = classRequirement(r.cls);
     r.input = Tensor(Shape{1, 1, 1, 1});
     r.enqueued = std::chrono::steady_clock::now();
+    r.deadline = r.enqueued;
     return r;
 }
 
+/** A one-model registry plus the engine's queue fabric over it. */
+struct FabricFixture
+{
+    ModelRegistry reg;
+    TenantMetrics meter;
+    std::unique_ptr<QueueFabric> fabric;
+
+    FabricFixture(std::size_t capacity, std::size_t max_batch)
+    {
+        registerAlex(reg, 5, max_batch);
+        FabricConfig fc;
+        fc.queueCapacity = capacity;
+        fabric = std::make_unique<QueueFabric>(reg, fc, meter);
+    }
+};
+
 TEST(RequestQueue, RejectsWhenFullInsteadOfBlocking)
 {
-    RequestQueue q(2);
+    FabricFixture fx(2, 1);
+    QueueFabric &q = *fx.fabric;
     EXPECT_EQ(q.push(makeReq(0)), SubmitStatus::Accepted);
     EXPECT_EQ(q.push(makeReq(1)), SubmitStatus::Accepted);
     EXPECT_EQ(q.push(makeReq(2)), SubmitStatus::QueueFull);
-    EXPECT_EQ(q.size(), 2u);
-    EXPECT_EQ(q.highWater(), 2u);
+    EXPECT_EQ(q.queued(0), 2u);
+    EXPECT_EQ(fx.meter.snapshot().queueHighWater, 2u);
+    EXPECT_EQ(fx.meter.snapshot().shed, 1u);
 }
 
 TEST(RequestQueue, StoppedAfterClose)
 {
-    RequestQueue q(4);
+    FabricFixture fx(4, 1);
+    QueueFabric &q = *fx.fabric;
     q.close();
     EXPECT_TRUE(q.closed());
     EXPECT_EQ(q.push(makeReq(0)), SubmitStatus::Stopped);
@@ -144,69 +177,29 @@ TEST(RequestQueue, StoppedAfterClose)
 
 TEST(RequestQueue, DrainsRemainingAfterClose)
 {
-    RequestQueue q(8);
+    FabricFixture fx(8, 2);
+    QueueFabric &q = *fx.fabric;
     for (std::uint64_t i = 0; i < 5; ++i)
         ASSERT_EQ(q.push(makeReq(i)), SubmitStatus::Accepted);
     q.close();
+    q.addIdle(0);
 
-    Batcher policy(BatcherConfig{2, relaxedReq(), 10.0});
     std::vector<std::uint64_t> ids;
     for (;;) {
-        auto batch = q.popBatch(policy);
-        if (batch.empty())
+        BatchGrant g = q.take();
+        if (g.batch.empty())
             break;
-        EXPECT_LE(batch.size(), 2u);
-        for (auto &r : batch)
+        EXPECT_LE(g.batch.size(), 2u);
+        for (const TenantRequest &r : g.batch)
             ids.push_back(r.id);
+        q.addIdle(0); // the worker hands its replica back
     }
-    // Every queued request handed out exactly once, in order.
+    // Every queued request handed out exactly once, in order (equal
+    // deadlines keep arrival order in the EDF lane).
     ASSERT_EQ(ids.size(), 5u);
     for (std::uint64_t i = 0; i < 5; ++i)
         EXPECT_EQ(ids[i], i);
-    EXPECT_EQ(q.size(), 0u);
-}
-
-TEST(RequestQueue, MpmcStressDeliversEachRequestOnce)
-{
-    RequestQueue q(1024);
-    Batcher policy(BatcherConfig{4, relaxedReq(), 0.0});
-    constexpr std::size_t kProducers = 4, kConsumers = 3;
-    constexpr std::uint64_t kPerProducer = 200;
-
-    std::vector<std::atomic<int>> seen(kProducers * kPerProducer);
-    for (auto &s : seen)
-        s = 0;
-
-    std::vector<std::thread> consumers;
-    for (std::size_t c = 0; c < kConsumers; ++c)
-        consumers.emplace_back([&] {
-            for (;;) {
-                auto batch = q.popBatch(policy);
-                if (batch.empty())
-                    return;
-                for (auto &r : batch)
-                    seen[r.id].fetch_add(1);
-            }
-        });
-
-    std::vector<std::thread> producers;
-    for (std::size_t p = 0; p < kProducers; ++p)
-        producers.emplace_back([&, p] {
-            for (std::uint64_t i = 0; i < kPerProducer; ++i) {
-                const std::uint64_t id = p * kPerProducer + i;
-                while (q.push(makeReq(id)) != SubmitStatus::Accepted)
-                    std::this_thread::yield();
-            }
-        });
-
-    for (auto &t : producers)
-        t.join();
-    q.close();
-    for (auto &t : consumers)
-        t.join();
-
-    for (const auto &s : seen)
-        EXPECT_EQ(s.load(), 1);
+    EXPECT_EQ(q.queued(0), 0u);
 }
 
 // ---------------------------------------------------- batch purity
@@ -237,45 +230,31 @@ TEST(Serve, BatchedForwardIsBitwiseRowInvariant)
 
 // --------------------------------------------------------- engine
 
-EngineConfig
-quickConfig(std::size_t workers, std::size_t max_batch = 1)
-{
-    EngineConfig cfg;
-    cfg.workers = workers;
-    cfg.maxBatch = max_batch;
-    cfg.queueCapacity = 64;
-    cfg.requirement = relaxedReq();
-    cfg.maxWaitS = 0.0;
-    return cfg;
-}
-
 TEST(Serve, EngineMatchesPrototypeBitwise)
 {
-    Rng rng(11);
-    Network net = makeMiniAlexNet(rng);
+    ModelRegistry reg;
+    registerAlex(reg, 11);
+    Network &proto = reg.model(0).prototype();
     Rng inputs(5);
     std::vector<Tensor> xs;
     for (int i = 0; i < 6; ++i)
-        xs.push_back(randomInput(inputs, net.inputShape()));
+        xs.push_back(randomInput(inputs, proto.inputShape()));
 
-    // Reference logits from the plain network, before serving.
+    // Reference logits from the frozen prototype, before serving.
     std::vector<Tensor> want;
     for (const Tensor &x : xs)
-        want.push_back(net.forward(x, false));
+        want.push_back(proto.forward(x, false));
 
-    ServeEngine engine(net, quickConfig(2));
-    std::vector<std::future<ServeResult>> futs;
+    MultiTenantEngine engine(reg, quickConfig(2));
+    std::vector<std::future<TenantResult>> futs;
     for (const Tensor &x : xs) {
-        auto sub = engine.submit(x);
+        auto sub = engine.submit(0, TaskClass::Interactive, x);
         ASSERT_EQ(sub.status, SubmitStatus::Accepted);
         futs.push_back(std::move(sub.result));
     }
     for (std::size_t i = 0; i < futs.size(); ++i) {
-        const ServeResult r = futs[i].get();
-        ASSERT_EQ(r.logits.size(), want[i].size());
-        EXPECT_EQ(std::memcmp(r.logits.data(), want[i].data(),
-                              r.logits.size() * sizeof(float)),
-                  0)
+        const TenantResult r = futs[i].get();
+        EXPECT_TRUE(bitwiseEqual(r.logits, want[i]))
             << "request " << i << " logits differ from prototype";
         EXPECT_GE(r.latencyS, 0.0);
         EXPECT_EQ(r.batchSize, 1u);
@@ -284,21 +263,24 @@ TEST(Serve, EngineMatchesPrototypeBitwise)
 
 TEST(Serve, WorkerCountsProduceBitwiseIdenticalLogits)
 {
-    // Identical weight init in two prototypes (same seed); the only
-    // difference between the runs is the replica/lane partition.
+    // Identical weight init per run (same seed); the only difference
+    // between the runs is the worker/replica/lane partition.
     Rng inputs(13);
-    Rng rng1(42), rng4(42);
-    Network net1 = makeMiniAlexNet(rng1);
-    Network net4 = makeMiniAlexNet(rng4);
     std::vector<Tensor> xs;
-    for (int i = 0; i < 8; ++i)
-        xs.push_back(randomInput(inputs, net1.inputShape()));
+    {
+        Rng rng(42);
+        const Shape in = makeMiniAlexNet(rng).inputShape();
+        for (int i = 0; i < 8; ++i)
+            xs.push_back(randomInput(inputs, in));
+    }
 
-    auto run = [&](Network &net, std::size_t workers) {
-        ServeEngine engine(net, quickConfig(workers));
-        std::vector<std::future<ServeResult>> futs;
+    auto run = [&](std::size_t workers) {
+        ModelRegistry reg;
+        registerAlex(reg, 42);
+        MultiTenantEngine engine(reg, quickConfig(workers));
+        std::vector<std::future<TenantResult>> futs;
         for (const Tensor &x : xs) {
-            auto sub = engine.submit(x);
+            auto sub = engine.submit(0, TaskClass::Interactive, x);
             EXPECT_EQ(sub.status, SubmitStatus::Accepted);
             futs.push_back(std::move(sub.result));
         }
@@ -308,31 +290,84 @@ TEST(Serve, WorkerCountsProduceBitwiseIdenticalLogits)
         return out;
     };
 
-    const auto one = run(net1, 1);
-    const auto four = run(net4, 4);
-    ASSERT_EQ(one.size(), four.size());
-    for (std::size_t i = 0; i < one.size(); ++i)
-        EXPECT_EQ(std::memcmp(one[i].data(), four[i].data(),
-                              one[i].size() * sizeof(float)),
-                  0)
-            << "request " << i << " differs between 1 and 4 workers";
+    const auto one = run(1);
+    for (std::size_t workers : {2u, 4u}) {
+        const auto many = run(workers);
+        ASSERT_EQ(one.size(), many.size());
+        for (std::size_t i = 0; i < one.size(); ++i)
+            EXPECT_TRUE(bitwiseEqual(one[i], many[i]))
+                << "request " << i << " differs between 1 and "
+                << workers << " workers";
+    }
+}
+
+TEST(RequestQueue, MpmcStressDeliversEachRequestOnce)
+{
+    ModelRegistry reg;
+    registerAlex(reg, 17, /*max_batch=*/4);
+    Network &proto = reg.model(0).prototype();
+    constexpr std::size_t kProducers = 4, kPerProducer = 32;
+    constexpr std::size_t kDistinct = 8;
+
+    Rng inputs(19);
+    std::vector<Tensor> xs, want;
+    for (std::size_t i = 0; i < kDistinct; ++i) {
+        xs.push_back(randomInput(inputs, proto.inputShape()));
+        want.push_back(proto.forward(xs.back(), false));
+    }
+
+    MultiTenantEngine engine(
+        reg, quickConfig(3, kProducers * kPerProducer));
+    std::vector<std::vector<std::future<TenantResult>>> futs(
+        kProducers);
+    std::vector<std::thread> producers;
+    for (std::size_t p = 0; p < kProducers; ++p)
+        producers.emplace_back([&, p] {
+            for (std::size_t i = 0; i < kPerProducer; ++i) {
+                const TaskClass cls = i % 2 == 0
+                                          ? TaskClass::Interactive
+                                          : TaskClass::Background;
+                auto sub = engine.submit(0, cls,
+                                         xs[(p + i) % kDistinct]);
+                ASSERT_EQ(sub.status, SubmitStatus::Accepted);
+                futs[p].push_back(std::move(sub.result));
+            }
+        });
+    for (auto &t : producers)
+        t.join();
+
+    // Each future is fulfilled exactly once (a second set_value
+    // would throw in the worker, a dropped one would hang here) and
+    // carries the logits of its own input.
+    for (std::size_t p = 0; p < kProducers; ++p) {
+        ASSERT_EQ(futs[p].size(), kPerProducer);
+        for (std::size_t i = 0; i < kPerProducer; ++i) {
+            const TenantResult r = futs[p][i].get();
+            ASSERT_FALSE(r.shed);
+            EXPECT_TRUE(bitwiseEqual(r.logits,
+                                     want[(p + i) % kDistinct]))
+                << "producer " << p << " request " << i;
+        }
+    }
+    EXPECT_EQ(engine.metrics().completed, kProducers * kPerProducer);
 }
 
 TEST(Serve, SteadyStatePacksNoNewPanels)
 {
-    Rng rng(3);
-    Network net = makeMiniAlexNet(rng);
-    ServeEngine engine(net, quickConfig(3));
+    ModelRegistry reg;
+    registerAlex(reg, 3);
+    const Shape in = reg.model(0).inputShape();
+    MultiTenantEngine engine(reg, quickConfig(3));
 
     // Drive a first wave through every worker, then snapshot the
-    // global pack counters: the construction-time warm-up must have
+    // global pack counters: the replica warm-ups must have
     // materialized everything the serving route reads.
     Rng inputs(17);
     auto wave = [&](int n) {
-        std::vector<std::future<ServeResult>> futs;
+        std::vector<std::future<TenantResult>> futs;
         for (int i = 0; i < n; ++i) {
-            auto sub = engine.submit(randomInput(inputs,
-                                                 net.inputShape()));
+            auto sub = engine.submit(0, TaskClass::Interactive,
+                                     randomInput(inputs, in));
             ASSERT_EQ(sub.status, SubmitStatus::Accepted);
             futs.push_back(std::move(sub.result));
         }
@@ -351,47 +386,50 @@ TEST(Serve, SteadyStatePacksNoNewPanels)
 
 TEST(Serve, BackpressureShedsWhenQueueFull)
 {
-    Rng rng(23);
-    Network net = makeMiniAlexNet(rng);
-    EngineConfig cfg;
-    cfg.workers = 1;
-    cfg.maxBatch = 8;        // workers wait for the batch to fill...
-    cfg.queueCapacity = 2;   // ...so the tiny queue stays occupied
-    cfg.requirement = relaxedReq();
-    cfg.maxWaitS = 30.0;
-    ServeEngine engine(net, cfg);
+    ModelRegistry reg;
+    registerAlex(reg, 23, /*max_batch=*/8);
+    const Shape in = reg.model(0).inputShape();
+    MultiTenantEngine engine(reg, quickConfig(1, /*queue=*/2));
 
+    // With the only replica held back nothing is served, so the
+    // third and later submissions find the queue full.
+    ASSERT_TRUE(engine.queueFabric().removeIdle(0));
     Rng inputs(29);
-    std::vector<std::future<ServeResult>> futs;
+    std::vector<std::future<TenantResult>> futs;
     std::size_t shed = 0;
     for (int i = 0; i < 6; ++i) {
-        auto sub = engine.submit(randomInput(inputs, net.inputShape()));
+        auto sub = engine.submit(0, TaskClass::Interactive,
+                                 randomInput(inputs, in));
         if (sub.status == SubmitStatus::Accepted)
             futs.push_back(std::move(sub.result));
         else if (sub.status == SubmitStatus::QueueFull)
             ++shed;
     }
-    EXPECT_GE(shed, 1u) << "full queue never shed a request";
-    EXPECT_EQ(futs.size() + shed, 6u);
+    EXPECT_EQ(futs.size(), 2u);
+    EXPECT_EQ(shed, 4u);
 
-    engine.stop(); // drains the accepted requests despite maxWaitS
+    engine.queueFabric().addIdle(0);
+    engine.stop(); // drains the accepted requests
     for (auto &f : futs)
         EXPECT_EQ(f.get().logits.shape().h, 1u);
-    EXPECT_EQ(engine.metrics().shed, shed);
+    const TenantMetricsSnapshot m = engine.metrics();
+    EXPECT_EQ(m.shed, shed);
+    EXPECT_EQ(m.completed, 2u);
+    EXPECT_EQ(m.queueHighWater, 2u);
 }
 
 TEST(Serve, StopDrainsEveryAcceptedRequestExactlyOnce)
 {
-    Rng rng(31);
-    Network net = makeMiniAlexNet(rng);
-    EngineConfig cfg = quickConfig(2, 4);
-    cfg.maxWaitS = 30.0; // batches would otherwise wait to fill
-    ServeEngine engine(net, cfg);
+    ModelRegistry reg;
+    registerAlex(reg, 31, /*max_batch=*/4);
+    const Shape in = reg.model(0).inputShape();
+    MultiTenantEngine engine(reg, quickConfig(2));
 
     Rng inputs(37);
-    std::vector<std::future<ServeResult>> futs;
+    std::vector<std::future<TenantResult>> futs;
     for (int i = 0; i < 10; ++i) {
-        auto sub = engine.submit(randomInput(inputs, net.inputShape()));
+        auto sub = engine.submit(0, TaskClass::Background,
+                                 randomInput(inputs, in));
         ASSERT_EQ(sub.status, SubmitStatus::Accepted);
         futs.push_back(std::move(sub.result));
     }
@@ -400,59 +438,73 @@ TEST(Serve, StopDrainsEveryAcceptedRequestExactlyOnce)
 
     for (auto &f : futs) {
         ASSERT_TRUE(f.valid());
-        f.get(); // fulfilled exactly once; a second set would throw
+        EXPECT_FALSE(f.get().shed); // fulfilled exactly once
     }
-    const ServeMetricsSnapshot m = engine.metrics();
-    EXPECT_EQ(m.completed, 10u);
-    EXPECT_EQ(m.batchHist.images(), 10u);
+    EXPECT_EQ(engine.metrics().completed, 10u);
 
     // Submissions after stop are refused, not queued.
-    auto late = engine.submit(randomInput(inputs, net.inputShape()));
+    auto late = engine.submit(0, TaskClass::Interactive,
+                              randomInput(inputs, in));
     EXPECT_EQ(late.status, SubmitStatus::Stopped);
 }
 
 TEST(Serve, MetricsCountBatchesAndTails)
 {
-    Rng rng(41);
-    Network net = makeMiniAlexNet(rng);
-    ServeEngine engine(net, quickConfig(1));
+    ModelRegistry reg;
+    registerAlex(reg, 41, /*max_batch=*/4);
+    const Shape in = reg.model(0).inputShape();
+    MultiTenantEngine engine(reg, quickConfig(1));
 
+    // Queue all 12 before the replica comes back: the worker then
+    // forms exactly three full batches of 4.
+    ASSERT_TRUE(engine.queueFabric().removeIdle(0));
     Rng inputs(43);
-    std::vector<std::future<ServeResult>> futs;
+    std::vector<std::future<TenantResult>> futs;
     for (int i = 0; i < 12; ++i) {
-        auto sub = engine.submit(randomInput(inputs, net.inputShape()));
+        auto sub = engine.submit(0, TaskClass::Interactive,
+                                 randomInput(inputs, in));
         ASSERT_EQ(sub.status, SubmitStatus::Accepted);
         futs.push_back(std::move(sub.result));
     }
-    for (auto &f : futs)
-        f.get();
+    engine.queueFabric().addIdle(0);
+    for (auto &f : futs) {
+        const TenantResult r = f.get();
+        EXPECT_EQ(r.batchSize, 4u);
+        EXPECT_GE(r.latencyS, r.queueS);
+    }
 
-    const ServeMetricsSnapshot m = engine.metrics();
+    const TenantMetricsSnapshot m = engine.metrics();
+    const TenantClassStats &c =
+        m.byClass[static_cast<std::size_t>(TaskClass::Interactive)];
     EXPECT_EQ(m.completed, 12u);
+    EXPECT_EQ(c.completed, 12u);
     EXPECT_EQ(m.shed, 0u);
-    EXPECT_EQ(m.batchHist.images(), 12u);
-    EXPECT_GE(m.batchHist.batches(), 1u);
-    EXPECT_GT(m.latency.p50S, 0.0);
-    EXPECT_LE(m.latency.p50S, m.latency.p99S);
-    EXPECT_LE(m.latency.p99S, m.latency.p999S);
-    EXPECT_LE(m.latency.p999S, m.latency.maxS);
+    EXPECT_EQ(c.latency.count, 12u);
+    EXPECT_GT(c.latency.p50S, 0.0);
+    EXPECT_LE(c.latency.p50S, c.latency.p99S);
+    EXPECT_LE(c.latency.p99S, c.latency.p999S);
+    EXPECT_LE(c.latency.p999S, c.latency.maxS);
+    EXPECT_LE(c.queueWait.p50S, c.latency.p50S);
+    EXPECT_EQ(c.sloMet + c.sloMissed, 12u);
     EXPECT_GT(m.throughputRps, 0.0);
-    EXPECT_GE(m.queueHighWater, 1u);
+    EXPECT_EQ(m.queueHighWater, 12u);
 }
 
 TEST(Serve, LanePartitionComposesWithoutOversubscription)
 {
-    Rng rng(47);
-    Network net = makeMiniAlexNet(rng);
-    EngineConfig cfg = quickConfig(2);
+    ModelRegistry reg;
+    registerAlex(reg, 47);
+    const Shape in = reg.model(0).inputShape();
+    MultiEngineConfig cfg = quickConfig(2);
     cfg.lanesPerWorker = 1;
-    ServeEngine engine(net, cfg);
+    MultiTenantEngine engine(reg, cfg);
     EXPECT_EQ(engine.lanesPerWorker(), 1u);
 
     Rng inputs(53);
-    auto sub = engine.submit(randomInput(inputs, net.inputShape()));
+    auto sub = engine.submit(0, TaskClass::Interactive,
+                             randomInput(inputs, in));
     ASSERT_EQ(sub.status, SubmitStatus::Accepted);
-    sub.result.get();
+    EXPECT_FALSE(sub.result.get().shed);
 }
 
 // ------------------------------------- shared-weight write contracts
@@ -502,27 +554,6 @@ TEST(Serve, CloneSharesStorageAndFreezesBothSides)
         EXPECT_EQ(orig[i], copy[i]);
         EXPECT_TRUE(orig[i]->isShared());
     }
-}
-
-// ------------------------------------------------- batch selection
-
-TEST(Serve, OptimalServeBatchCoversTaskClasses)
-{
-    Rng rng(73);
-    Network net = makeMiniAlexNet(rng);
-    const NetDescriptor desc = describe(net);
-    const GpuSpec gpu = jetsonTx1();
-
-    AppSpec background = imageTaggingApp();
-    const std::size_t bg = optimalServeBatch(
-        gpu, desc, background, inferRequirement(background));
-    EXPECT_GE(bg, 1u);
-
-    AppSpec interactive = ageDetectionApp();
-    const std::size_t fg = optimalServeBatch(
-        gpu, desc, interactive, inferRequirement(interactive));
-    EXPECT_GE(fg, 1u);
-    EXPECT_LE(fg, BatchSelector::maxBatch);
 }
 
 } // namespace

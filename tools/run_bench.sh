@@ -17,9 +17,7 @@
 # "acceptance" block: mixed interactive p99 <= 1.25x the
 # interactive-only p99, aggregate mixed throughput >= 0.9x the
 # sequential isolated baseline, bitwise_threads_ok = 1, and
-# steady_allocs = 0 on every row (alloc_counting permitting). The
-# bench runs with PCNN_GRAPH=1 so replicas adopt the shared compiled
-# schedule and the arena gauges are live.
+# steady_allocs = 0 on every row (alloc_counting permitting).
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -42,5 +40,5 @@ if [[ ! -x "$mt_bin" ]]; then
     echo "  cmake -B '$build_dir' -S '$repo_root' && cmake --build '$build_dir' -j" >&2
     exit 1
 fi
-PCNN_GRAPH=1 "$mt_bin" "$mt_json"
+"$mt_bin" "$mt_json"
 echo "wrote $mt_json"
