@@ -1,8 +1,8 @@
 /**
  * @file
  * google-benchmark microbenches of the CPU substrate: SGEMM, im2col,
- * convolution forward (exact and perforated), softmax/entropy, and
- * the analytical kernel model itself.
+ * convolution forward (exact and perforated), LRN and max pooling,
+ * softmax/entropy, and the analytical kernel model itself.
  */
 
 #include <benchmark/benchmark.h>
@@ -16,7 +16,9 @@
 #include "common/random.hh"
 #include "gpu/kernel_model.hh"
 #include "nn/conv_layer.hh"
+#include "nn/lrn_layer.hh"
 #include "nn/model_zoo.hh"
+#include "nn/pool_layer.hh"
 #include "pcnn/offline/host_tuner.hh"
 #include "pcnn/offline/kernel_tuner.hh"
 #include "tensor/microkernel.hh"
@@ -463,6 +465,60 @@ BM_Qgemm(benchmark::State &state)
 BENCHMARK(BM_Qgemm)
     ->ArgNames({"shape", "cfg"})
     ->ArgsProduct({{2, 3, 4}, {0, 1}});
+
+/**
+ * MiniAlexNet's LRN1 on its [12,16,16] activations at range(0) =
+ * batch, one lane: the plane-loop forward whose floor is one powf per
+ * element (DESIGN.md §5d).
+ */
+void
+BM_LrnForward(benchmark::State &state)
+{
+    ScopedLaneLimit lanes(1);
+    Rng rng(6);
+    LrnLayer lrn("LRN1", 5, 1e-3, 0.75, 2.0);
+    Tensor x(std::size_t(state.range(0)), 12, 16, 16);
+    x.fillGaussian(rng, 0, 1);
+    Tensor y;
+    for (auto _ : state) {
+        lrn.forwardInto(x, false, y);
+        benchmark::DoNotOptimize(y.data());
+    }
+    state.SetItemsProcessed(int64_t(state.iterations()) *
+                            int64_t(x.size()));
+}
+BENCHMARK(BM_LrnForward)->Arg(1)->Arg(16);
+
+/**
+ * The zoo's max pools at range(1) = batch, one lane. range(0) picks
+ * the pool: 0 = 2x2/2 over [12,16,16] (MiniVgg, MiniInception stem),
+ * 1 = 3x3/2 over [12,16,16] (MiniAlexNet POOL1), 2 = 3x3/1 pad 1
+ * over [16,8,8] (the inception pool branch).
+ */
+void
+BM_MaxPoolForward(benchmark::State &state)
+{
+    struct Case
+    {
+        std::size_t window, stride, pad, c, hw;
+    };
+    constexpr Case kCases[] = {
+        {2, 2, 0, 12, 16}, {3, 2, 0, 12, 16}, {3, 1, 1, 16, 8}};
+    const Case &pc = kCases[state.range(0)];
+    ScopedLaneLimit lanes(1);
+    Rng rng(7);
+    MaxPoolLayer pool("pool", pc.window, pc.stride, pc.pad);
+    Tensor x(std::size_t(state.range(1)), pc.c, pc.hw, pc.hw);
+    x.fillGaussian(rng, 0, 1);
+    Tensor y;
+    for (auto _ : state) {
+        pool.forwardInto(x, false, y);
+        benchmark::DoNotOptimize(y.data());
+    }
+    state.SetItemsProcessed(int64_t(state.iterations()) *
+                            int64_t(x.size()));
+}
+BENCHMARK(BM_MaxPoolForward)->ArgsProduct({{0, 1, 2}, {1, 16}});
 
 void
 BM_SoftmaxEntropy(benchmark::State &state)

@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "nn/layer.hh"
 
@@ -45,9 +46,15 @@ class LrnLayer : public Layer
         auto c = std::make_unique<LrnLayer>(*this);
         c->lastInput = Tensor();
         c->lastScale = Tensor();
-        c->scaleScratch = Tensor();
+        c->sumRow = std::vector<double>(); // never shared by replicas
         c->haveCache = false;
         return c;
+    }
+
+    std::size_t
+    steadyStateScratchBytes() const override
+    {
+        return sumRow.capacity() * sizeof(double);
     }
 
   private:
@@ -59,8 +66,8 @@ class LrnLayer : public Layer
 
     Tensor lastInput;
     Tensor lastScale; ///< the (k + alpha/n * sum) term per element
-    /// grow-only per-call scale buffer (forwardInto stays alloc-free)
-    Tensor scaleScratch;
+    /// grow-only h*w window sums of one output channel plane
+    std::vector<double> sumRow;
     bool haveCache = false;
 };
 

@@ -6,21 +6,79 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <limits>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "data/synthetic.hh"
 #include "nn/avgpool_layer.hh"
+#include "nn/graph/compiled_graph.hh"
 #include "nn/inception_layer.hh"
 #include "nn/lrn_layer.hh"
 #include "nn/model_zoo.hh"
 #include "nn/pool_layer.hh"
 #include "nn/serialize.hh"
 #include "pcnn/offline/compiler.hh"
+#include "scalar_reference.hh"
 #include "train/trainer.hh"
 
 namespace pcnn {
 namespace {
+
+/**
+ * Gaussian activations sprinkled with the values whose handling the
+ * bitwise tests pin: -0.0/+0.0 (max-pool ties resolve by scan
+ * order), quiet NaN (never wins a max) and +/-inf.
+ */
+Tensor
+specialInput(Shape s, std::uint64_t seed)
+{
+    Rng rng(seed);
+    Tensor x(s);
+    const float specials[] = {-0.0f,
+                              0.0f,
+                              std::numeric_limits<float>::quiet_NaN(),
+                              std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity(),
+                              1.0f,
+                              -1.0f};
+    for (std::size_t i = 0; i < x.size(); ++i)
+        x[i] = rng.chance(0.3) ? specials[rng.below(7)]
+                               : float(rng.gaussian(0, 2));
+    return x;
+}
+
+/** Bit-for-bit equality, NaN payloads and zero signs included. */
+bool
+bitwiseEqual(const Tensor &a, const Tensor &b)
+{
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) ==
+               0;
+}
+
+/**
+ * Run `layer` at inference on arena views: the input copied into a
+ * window of a shared buffer and the output bound to a window right
+ * behind it, with exactly its own size as capacity.
+ */
+Tensor
+forwardOnViews(Layer &layer, const Tensor &x)
+{
+    const Shape os = layer.outputShape(x.shape());
+    std::vector<float> arena(3 + x.size() + os.size(), 7.0f);
+    std::copy(x.data(), x.data() + x.size(), arena.data() + 3);
+    Tensor xv, yv;
+    xv.bindView(arena.data() + 3, x.size(), x.shape());
+    yv.bindView(arena.data() + 3 + x.size(), os.size(), os);
+    layer.forwardInto(xv, false, yv);
+    return Tensor(yv); // a copy of a view owns its storage
+}
 
 // ---------------------------------------------------------------- LRN
 
@@ -88,6 +146,88 @@ TEST(LrnLayer, GradientMatchesNumeric)
     }
 }
 
+TEST(LrnLayer, PlaneLoopMatchesScalarReferenceBitwise)
+{
+    // size 4 keeps the half = size/2 window of five channels; C = 1
+    // and 2 sit below every window but size 1.
+    std::uint64_t seed = 300;
+    for (std::size_t size : {1u, 3u, 4u, 5u}) {
+        for (std::size_t c : {1u, 2u, 3u, 7u, 12u}) {
+            for (Shape s : {Shape{1, c, 1, 1}, Shape{3, c, 5, 4},
+                            Shape{2, c, 16, 16}}) {
+                LrnLayer lrn("lrn", size, 1e-3, 0.75, 2.0);
+                const Tensor x = specialInput(s, ++seed);
+                const Tensor ref =
+                    referenceLrn(x, size, 1e-3f, 0.75f, 2.0f);
+                EXPECT_TRUE(bitwiseEqual(lrn.forward(x, false), ref))
+                    << "size " << size << " in " << s.str();
+                EXPECT_TRUE(bitwiseEqual(lrn.forward(x, true), ref))
+                    << "train, size " << size << " in " << s.str();
+                EXPECT_TRUE(bitwiseEqual(forwardOnViews(lrn, x), ref))
+                    << "views, size " << size << " in " << s.str();
+            }
+        }
+    }
+}
+
+TEST(LrnLayer, WindowSumKeepsAscendingChannelOrder)
+{
+    // Squares 2^-54 (x3), 2^-24 and 1 summed in ascending channel
+    // order round up to float 1 + 2^-23; summed from channel 4 down
+    // they round to 1. k = 0 and alpha = size make the scale the
+    // float window sum itself, so the output shows which order ran.
+    const float tiny = std::ldexp(1.0f, -27);
+    const float small = std::ldexp(1.0f, -12);
+    LrnLayer lrn("lrn", 5, 5.0, 0.75, 0.0);
+    for (Shape s : {Shape{1, 5, 1, 1}, Shape{2, 5, 3, 7}}) {
+        Tensor x(s);
+        const float chan[5] = {tiny, tiny, tiny, small, 1.0f};
+        for (std::size_t i = 0; i < x.size(); ++i)
+            x[i] = chan[(i / (s.h * s.w)) % 5];
+        const Tensor y = lrn.forward(x, false);
+        EXPECT_TRUE(bitwiseEqual(y, referenceLrn(x, 5, 5.0f, 0.75f,
+                                                 0.0f)));
+        const float scale = 1.0f + std::ldexp(1.0f, -23);
+        EXPECT_EQ(y.at(s.n - 1, 2, s.h - 1, s.w - 1),
+                  tiny * std::pow(scale, -0.75f));
+    }
+}
+
+TEST(LrnLayer, SteadyScratchIsOnePlaneAndCounted)
+{
+    Rng rng(310);
+    Network net = makeMiniAlexNet(rng);
+    LrnLayer *lrn = nullptr;
+    for (std::size_t i = 0; i < net.size(); ++i)
+        if (net.layer(i).kind() == "lrn")
+            lrn = static_cast<LrnLayer *>(&net.layer(i));
+    ASSERT_NE(lrn, nullptr);
+
+    const Shape &in = net.inputShape();
+    Tensor x(Shape{16, in.c, in.h, in.w});
+    x.fillGaussian(rng, 0, 1);
+    Tensor y;
+    net.forwardInto(x, false, y);
+
+    // One 16x16 plane of double window sums, whatever the batch.
+    const std::size_t lrn_bytes = lrn->steadyStateScratchBytes();
+    EXPECT_GE(lrn_bytes, 16 * 16 * sizeof(double));
+    EXPECT_LT(lrn_bytes, 2 * 16 * 16 * sizeof(double));
+
+    const CompiledGraph *graph = net.compiledGraph();
+    ASSERT_NE(graph, nullptr);
+    std::size_t layer_bytes = 0;
+    for (std::size_t i = 0; i < net.size(); ++i)
+        layer_bytes += net.layer(i).steadyStateScratchBytes();
+    EXPECT_GE(net.steadyMemoryBytes(),
+              layer_bytes + graph->arenaBytes() +
+                  graph->scratchPoolBytes());
+
+    // Replicas start with their own, empty row.
+    const std::unique_ptr<Layer> clone = lrn->cloneShared();
+    EXPECT_EQ(clone->steadyStateScratchBytes(), 0u);
+}
+
 // ------------------------------------------------------------ avgpool
 
 TEST(AvgPoolLayer, WindowedAverage)
@@ -151,6 +291,106 @@ TEST(MaxPoolLayer, PaddingNeverWins)
     const Tensor y = pool.forward(x, false);
     for (std::size_t i = 0; i < y.size(); ++i)
         EXPECT_FLOAT_EQ(y[i], -5.0f);
+}
+
+/** Window, stride and padding of one max-pool regression case. */
+struct PoolCase
+{
+    std::size_t window, stride, pad;
+};
+
+/**
+ * The zoo's pools (2/2/0, 3/2/0, 3/1/1), strides beyond the window,
+ * and a 1x1 window; each over planes wide enough for interior
+ * blocks, narrower ones, and 1x1 planes where the window allows.
+ */
+const PoolCase kPoolCases[] = {{2, 2, 0}, {3, 2, 0}, {3, 1, 1},
+                               {2, 3, 0}, {3, 5, 1}, {2, 4, 1},
+                               {1, 1, 0}, {3, 3, 2}};
+
+std::vector<Shape>
+poolShapes(const PoolCase &pc)
+{
+    std::vector<Shape> shapes;
+    for (Shape s : {Shape{1, 1, 1, 1}, Shape{1, 3, 2, 3},
+                    Shape{2, 3, 5, 9}, Shape{3, 2, 8, 8},
+                    Shape{2, 4, 16, 16}, Shape{1, 2, 7, 31}}) {
+        if (s.h + 2 * pc.pad >= pc.window &&
+            s.w + 2 * pc.pad >= pc.window)
+            shapes.push_back(s);
+    }
+    return shapes;
+}
+
+TEST(MaxPoolLayer, PlaneLoopMatchesScalarReferenceBitwise)
+{
+    std::uint64_t seed = 400;
+    for (const PoolCase &pc : kPoolCases) {
+        for (const Shape &s : poolShapes(pc)) {
+            MaxPoolLayer pool("p", pc.window, pc.stride, pc.pad);
+            const Tensor x = specialInput(s, ++seed);
+            const Tensor ref =
+                referenceMaxPool(x, pc.window, pc.stride, pc.pad);
+            const std::string what =
+                "pool " + std::to_string(pc.window) + "/" +
+                std::to_string(pc.stride) + "/" +
+                std::to_string(pc.pad) + " in " + s.str();
+            EXPECT_TRUE(bitwiseEqual(pool.forward(x, false), ref))
+                << what;
+            EXPECT_TRUE(bitwiseEqual(forwardOnViews(pool, x), ref))
+                << "views, " << what;
+        }
+    }
+}
+
+TEST(MaxPoolLayer, SignedZeroTiesKeepTheFirstTap)
+{
+    // All-zero windows: the first tap in (ky, kx) order wins, so the
+    // output's sign is that of each window's first valid tap.
+    for (const PoolCase &pc : kPoolCases) {
+        for (const Shape &s : poolShapes(pc)) {
+            Tensor x(s);
+            Rng rng(410);
+            for (std::size_t i = 0; i < x.size(); ++i)
+                x[i] = rng.chance(0.5) ? -0.0f : 0.0f;
+            MaxPoolLayer pool("p", pc.window, pc.stride, pc.pad);
+            EXPECT_TRUE(bitwiseEqual(
+                pool.forward(x, false),
+                referenceMaxPool(x, pc.window, pc.stride, pc.pad)))
+                << pc.window << "/" << pc.stride << "/" << pc.pad
+                << " in " << s.str();
+        }
+    }
+}
+
+TEST(MaxPoolLayer, InferenceMatchesTrainAndBackwardRoutesToArgmax)
+{
+    std::uint64_t seed = 420;
+    for (const PoolCase &pc : kPoolCases) {
+        for (const Shape &s : poolShapes(pc)) {
+            MaxPoolLayer pool("p", pc.window, pc.stride, pc.pad);
+            const Tensor x = specialInput(s, ++seed);
+            const Tensor infer = pool.forward(x, false);
+            const Tensor train = pool.forward(x, true);
+            EXPECT_TRUE(bitwiseEqual(infer, train))
+                << pc.window << "/" << pc.stride << "/" << pc.pad
+                << " in " << s.str();
+
+            // Distinct gradients per output, scattered onto the
+            // reference argmax cells.
+            std::vector<std::size_t> argmax;
+            referenceMaxPool(x, pc.window, pc.stride, pc.pad, &argmax);
+            Tensor dy(train.shape());
+            for (std::size_t i = 0; i < dy.size(); ++i)
+                dy[i] = float(i + 1);
+            Tensor want(s);
+            for (std::size_t i = 0; i < dy.size(); ++i)
+                want[argmax[i]] += dy[i];
+            EXPECT_TRUE(bitwiseEqual(pool.backward(dy), want))
+                << pc.window << "/" << pc.stride << "/" << pc.pad
+                << " in " << s.str();
+        }
+    }
 }
 
 // ---------------------------------------------------------- inception
