@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <iterator>
 
 #include "common/alloc_count.hh"
 #include "common/parallel.hh"
@@ -465,6 +466,63 @@ BM_Qgemm(benchmark::State &state)
 BENCHMARK(BM_Qgemm)
     ->ArgNames({"shape", "cfg"})
     ->ArgsProduct({{2, 3, 4}, {0, 1}});
+
+/**
+ * One layer of each distinct conv geometry in the three zoo nets; a
+ * layer sharing its geometry with a listed one is named after it.
+ */
+struct ZooConvRow
+{
+    const char *net;
+    const char *layer;
+};
+constexpr ZooConvRow kZooConvRows[] = {
+    {"MiniAlexNet", "CONV1"},       // also MiniVgg CONV1_1
+    {"MiniAlexNet", "CONV2"},       // 2 groups over a 7x7 grid
+    {"MiniVgg", "CONV1_2"},
+    {"MiniVgg", "CONV2_1"},
+    {"MiniVgg", "CONV2_2"},
+    {"MiniInception", "STEM"},
+    {"MiniInception", "INC1/1x1"},  // also 3x3_reduce, pool_proj
+    {"MiniInception", "INC1/3x3"},
+    {"MiniInception", "INC1/5x5_reduce"},
+    {"MiniInception", "INC1/5x5"},
+};
+
+/**
+ * The zoo's conv layers one at a time at one lane, batch 1, on the
+ * algorithm the layer dispatches to (the compiled graph's route;
+ * PCNN_CONV_ALGO forces another). range(0) indexes kZooConvRows; the
+ * label names the layer and its algorithm.
+ */
+void
+BM_ConvForwardZoo(benchmark::State &state)
+{
+    const ZooConvRow &row = kZooConvRows[state.range(0)];
+    Rng rng(8);
+    const std::string net = row.net;
+    const NetDescriptor d =
+        describe(net == "MiniAlexNet" ? makeMiniAlexNet(rng)
+                 : net == "MiniVgg"   ? makeMiniVgg(rng)
+                                      : makeMiniInception(rng));
+    const ConvSpec &spec = zooConv(d, row.layer);
+    ScopedLaneLimit lanes(1);
+    ConvLayer layer(spec, rng);
+    Tensor x(1, spec.inC, spec.inH, spec.inW);
+    x.fillGaussian(rng, 0, 1);
+    Tensor y;
+    for (auto _ : state) {
+        layer.forwardInto(x, false, y);
+        benchmark::DoNotOptimize(y.data());
+    }
+    state.SetLabel(net + " " + spec.name + " " +
+                   convAlgoName(layer.effectiveAlgo(false)));
+    state.counters["GFLOPS"] = benchmark::Counter(
+        spec.flopsPerImage() * double(state.iterations()) * 1e-9,
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ConvForwardZoo)
+    ->DenseRange(0, int(std::size(kZooConvRows)) - 1);
 
 /**
  * MiniAlexNet's LRN1 on its [12,16,16] activations at range(0) =

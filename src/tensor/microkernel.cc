@@ -6,9 +6,11 @@
 #include <fstream>
 #include <mutex>
 #include <sstream>
+#include <utility>
 
 #include "common/check.hh"
 #include "common/logging.hh"
+#include "common/tags.hh"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define PCNN_X86_TIERS 1
@@ -88,6 +90,31 @@ microFullPortable(std::size_t k, const float *a, std::size_t lda,
 #endif
 }
 
+/**
+ * Scalar edge tile of the portable and NEON tiers (mi <= kMaxMicroMR,
+ * nj <= kMaxMicroNR). Each cell is the full kernels' chain — acc from
+ * zero, ascending k, then c + acc — one lane at a time.
+ */
+PCNN_HOT_PATH
+void
+microEdgeScalar(std::size_t k, std::size_t mi, std::size_t nj,
+                const float *a, std::size_t lda, const float *b,
+                std::size_t ldb, float *c, std::size_t ldc)
+{
+    float acc[kMaxMicroMR][kMaxMicroNR] = {};
+    for (std::size_t p = 0; p < k; ++p) {
+        const float *brow = b + p * ldb;
+        for (std::size_t i = 0; i < mi; ++i) {
+            const float av = a[i * lda + p];
+            for (std::size_t j = 0; j < nj; ++j)
+                acc[i][j] += av * brow[j];
+        }
+    }
+    for (std::size_t i = 0; i < mi; ++i)
+        for (std::size_t j = 0; j < nj; ++j)
+            c[i * ldc + j] += acc[i][j];
+}
+
 // ------------------------------------------------------------------
 // AVX2 tier: 6x16 FMA over ymm. 12 accumulator registers + 2 B
 // registers + 1 broadcast = 15 of 16 architectural ymm, and the
@@ -129,12 +156,84 @@ microFullAvx2(std::size_t k, const float *a, std::size_t lda,
     }
 }
 
+/**
+ * Masked AVX2 edge tile: MI rows (the template argument, so the
+ * accumulators stay in registers) by nj <= 16 columns, over one ymm
+ * (nj <= 8) or two. Lanes at or past nj load as zero and are never
+ * stored; live lanes run microFullAvx2's FMA chain unchanged.
+ */
+template <std::size_t MI, bool Wide>
+__attribute__((target("avx2,fma"))) void
+edgeTileAvx2(std::size_t k, std::size_t nj, const float *a,
+             std::size_t lda, const float *b, std::size_t ldb, float *c,
+             std::size_t ldc)
+{
+    constexpr std::size_t NV = Wide ? 2 : 1;
+    const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    __m256i mask[NV];
+    for (std::size_t v = 0; v < NV; ++v)
+        mask[v] = _mm256_cmpgt_epi32(_mm256_set1_epi32(int(nj - 8 * v)),
+                                     lane);
+    __m256 acc[MI][NV];
+    for (auto &row : acc)
+        for (__m256 &x : row)
+            x = _mm256_setzero_ps();
+    for (std::size_t p = 0; p < k; ++p) {
+        const float *brow = b + p * ldb;
+        __m256 bv[NV];
+        for (std::size_t v = 0; v < NV; ++v)
+            bv[v] = _mm256_maskload_ps(brow + 8 * v, mask[v]);
+        for (std::size_t i = 0; i < MI; ++i) {
+            const __m256 av = _mm256_set1_ps(a[i * lda + p]);
+            for (std::size_t v = 0; v < NV; ++v)
+                acc[i][v] = _mm256_fmadd_ps(av, bv[v], acc[i][v]);
+        }
+    }
+    for (std::size_t i = 0; i < MI; ++i) {
+        float *cr = c + i * ldc;
+        for (std::size_t v = 0; v < NV; ++v)
+            _mm256_maskstore_ps(
+                cr + 8 * v, mask[v],
+                _mm256_add_ps(_mm256_maskload_ps(cr + 8 * v, mask[v]),
+                              acc[i][v]));
+    }
+}
+
+/** Run the edgeTile<I + 1> instantiation whose row count is mi. */
+template <bool Wide, std::size_t... I>
+void
+edgeRowsAvx2(std::size_t k, std::size_t mi, std::size_t nj,
+             const float *a, std::size_t lda, const float *b,
+             std::size_t ldb, float *c, std::size_t ldc,
+             std::index_sequence<I...>)
+{
+    ((mi == I + 1 ? edgeTileAvx2<I + 1, Wide>(k, nj, a, lda, b, ldb, c,
+                                              ldc)
+                  : void()),
+     ...);
+}
+
+PCNN_HOT_PATH
+void
+microEdgeAvx2(std::size_t k, std::size_t mi, std::size_t nj,
+              const float *a, std::size_t lda, const float *b,
+              std::size_t ldb, float *c, std::size_t ldc)
+{
+    if (nj > 8)
+        edgeRowsAvx2<true>(k, mi, nj, a, lda, b, ldb, c, ldc,
+                           std::make_index_sequence<6>());
+    else
+        edgeRowsAvx2<false>(k, mi, nj, a, lda, b, ldb, c, ldc,
+                            std::make_index_sequence<6>());
+}
+
 // ------------------------------------------------------------------
 // AVX-512 tier: 8x32 FMA over zmm. 16 accumulators + 2 B + 1
 // broadcast of 32 zmm; the 8-broadcast/2-load k-step (10 loads -> 5
 // cycles) keeps the 16 FMAs (8 cycles on 2 ports) compute-bound,
 // and nr = 32 divides the 16x16 feature maps the mini models
-// produce, so edge tiles stay rare.
+// produce. Row remainders (12 output channels against mr = 8) and
+// odd grids (7x7) still need edge tiles, which run masked.
 // ------------------------------------------------------------------
 
 __attribute__((target("avx512f"))) void
@@ -170,6 +269,78 @@ microFullAvx512(std::size_t k, const float *a, std::size_t lda,
                          _mm512_add_ps(_mm512_loadu_ps(cr + 16),
                                        acc[i][1]));
     }
+}
+
+/**
+ * Masked AVX-512 edge tile: MI rows by nj <= 32 columns over one zmm
+ * (nj <= 16) or two, with __mmask16 loads and stores. Lanes at or
+ * past nj load as zero and are never stored; live lanes run
+ * microFullAvx512's FMA chain unchanged.
+ */
+template <std::size_t MI, bool Wide>
+__attribute__((target("avx512f"))) void
+edgeTileAvx512(std::size_t k, std::size_t nj, const float *a,
+               std::size_t lda, const float *b, std::size_t ldb,
+               float *c, std::size_t ldc)
+{
+    constexpr std::size_t NV = Wide ? 2 : 1;
+    __mmask16 mask[NV];
+    for (std::size_t v = 0; v < NV; ++v) {
+        const std::size_t live = std::min<std::size_t>(nj - 16 * v, 16);
+        mask[v] = __mmask16((1u << live) - 1u);
+    }
+    __m512 acc[MI][NV];
+    for (auto &row : acc)
+        for (__m512 &x : row)
+            x = _mm512_setzero_ps();
+    for (std::size_t p = 0; p < k; ++p) {
+        const float *brow = b + p * ldb;
+        __m512 bv[NV];
+        for (std::size_t v = 0; v < NV; ++v)
+            bv[v] = _mm512_maskz_loadu_ps(mask[v], brow + 16 * v);
+        for (std::size_t i = 0; i < MI; ++i) {
+            const __m512 av = _mm512_set1_ps(a[i * lda + p]);
+            for (std::size_t v = 0; v < NV; ++v)
+                acc[i][v] = _mm512_fmadd_ps(av, bv[v], acc[i][v]);
+        }
+    }
+    for (std::size_t i = 0; i < MI; ++i) {
+        float *cr = c + i * ldc;
+        for (std::size_t v = 0; v < NV; ++v)
+            _mm512_mask_storeu_ps(
+                cr + 16 * v, mask[v],
+                _mm512_add_ps(
+                    _mm512_maskz_loadu_ps(mask[v], cr + 16 * v),
+                    acc[i][v]));
+    }
+}
+
+/** Run the edgeTile<I + 1> instantiation whose row count is mi. */
+template <bool Wide, std::size_t... I>
+void
+edgeRowsAvx512(std::size_t k, std::size_t mi, std::size_t nj,
+               const float *a, std::size_t lda, const float *b,
+               std::size_t ldb, float *c, std::size_t ldc,
+               std::index_sequence<I...>)
+{
+    ((mi == I + 1 ? edgeTileAvx512<I + 1, Wide>(k, nj, a, lda, b, ldb,
+                                                c, ldc)
+                  : void()),
+     ...);
+}
+
+PCNN_HOT_PATH
+void
+microEdgeAvx512(std::size_t k, std::size_t mi, std::size_t nj,
+                const float *a, std::size_t lda, const float *b,
+                std::size_t ldb, float *c, std::size_t ldc)
+{
+    if (nj > 16)
+        edgeRowsAvx512<true>(k, mi, nj, a, lda, b, ldb, c, ldc,
+                             std::make_index_sequence<8>());
+    else
+        edgeRowsAvx512<false>(k, mi, nj, a, lda, b, ldb, c, ldc,
+                              std::make_index_sequence<8>());
 }
 
 #endif // PCNN_X86_TIERS
@@ -555,12 +726,13 @@ microKernelFor(KernelTier tier)
     PCNN_CHECK(kernelTierSupported(tier), "microKernelFor: tier ",
                kernelTierName(tier), " is not supported on this host");
     static const MicroKernel portable{KernelTier::Portable, kPortMR,
-                                      kPortNR, &microFullPortable};
+                                      kPortNR, &microFullPortable,
+                                      &microEdgeScalar};
 #ifdef PCNN_X86_TIERS
     static const MicroKernel avx2{KernelTier::Avx2, 6, 16,
-                                  &microFullAvx2};
+                                  &microFullAvx2, &microEdgeAvx2};
     static const MicroKernel avx512{KernelTier::Avx512, 8, 32,
-                                    &microFullAvx512};
+                                    &microFullAvx512, &microEdgeAvx512};
     if (tier == KernelTier::Avx2)
         return avx2;
     if (tier == KernelTier::Avx512)
@@ -568,7 +740,7 @@ microKernelFor(KernelTier tier)
 #endif
 #ifdef PCNN_NEON_TIER
     static const MicroKernel neon{KernelTier::Neon, 8, 8,
-                                  &microFullNeon};
+                                  &microFullNeon, &microEdgeScalar};
     if (tier == KernelTier::Neon)
         return neon;
 #endif

@@ -22,7 +22,9 @@
  * every C cell accumulates in pure ascending-k order (Kc chunks in
  * ascending order, k ascending within a chunk) on exactly one thread,
  * and the full/edge kernel split depends only on (m, n) and the
- * blocking — never on the thread count. Results are therefore bitwise
+ * blocking — never on the thread count. An edge tile computes each of
+ * its cells exactly as a full tile would (MicroKernel::edge), so the
+ * split cannot change a bit either. Results are therefore bitwise
  * identical across PCNN_THREADS *per tier*; different tiers (FMA
  * contraction, different Kc association) may differ within a small
  * ULP envelope, which tests/test_microkernel.cc budgets explicitly.
@@ -89,11 +91,20 @@ struct CacheInfo
 const CacheInfo &cacheInfo();
 
 /**
- * One register-blocked micro-kernel: accumulates the full mr x nr
- * C tile over a K range. `a` is row-major with leading dimension
- * lda (>= the K range), `b` row-major with leading dimension ldb,
- * `c` row-major with leading dimension ldc; C += A * B. `prefetch`
- * is a software-prefetch distance in k iterations (0 = none).
+ * One register-blocked micro-kernel: `full` accumulates the full
+ * mr x nr C tile over a K range. `a` is row-major with leading
+ * dimension lda (>= the K range), `b` row-major with leading
+ * dimension ldb, `c` row-major with leading dimension ldc;
+ * C += A * B. `prefetch` is a software-prefetch distance in k
+ * iterations (0 = none).
+ *
+ * `edge` does the same for a remainder tile of mi <= mr rows and
+ * nj <= nr columns, touching nothing outside it. Every cell runs
+ * the full kernel's exact chain — accumulator from zero, one
+ * multiply-add per k in ascending order, then c + acc — so an edge
+ * cell is bitwise equal to the same cell of the product zero-padded
+ * to whole tiles. The x86 tiers run it on masked vector lanes; the
+ * portable and NEON tiers share a scalar loop.
  */
 struct MicroKernel
 {
@@ -105,7 +116,12 @@ struct MicroKernel
                             std::size_t lda, const float *b,
                             std::size_t ldb, float *c, std::size_t ldc,
                             std::size_t prefetch);
+    using EdgeFn = void (*)(std::size_t k, std::size_t mi,
+                            std::size_t nj, const float *a,
+                            std::size_t lda, const float *b,
+                            std::size_t ldb, float *c, std::size_t ldc);
     FullFn full = nullptr;
+    EdgeFn edge = nullptr;
 };
 
 /** Largest mr/nr any compiled tier uses (edge-kernel scratch bound). */

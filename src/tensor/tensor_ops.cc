@@ -20,32 +20,6 @@ namespace {
 constexpr std::size_t kEpiBlock = 8;
 
 /**
- * Edge micro-tile for mr x nr remainders (mr <= kMaxMicroMR,
- * nr <= kMaxMicroNR), shared by every tier. Accumulation per cell is
- * the same pure k-order as the full kernels, and the full/edge split
- * depends only on (m, n) and the blocking, so a cell's value never
- * depends on the thread count.
- */
-inline void
-microEdge(std::size_t k, std::size_t mr, std::size_t nr, const float *a,
-          std::size_t lda, const float *b, std::size_t ldb, float *c,
-          std::size_t ldc)
-{
-    float acc[kMaxMicroMR][kMaxMicroNR] = {};
-    for (std::size_t p = 0; p < k; ++p) {
-        const float *brow = b + p * ldb;
-        for (std::size_t i = 0; i < mr; ++i) {
-            const float av = a[i * lda + p];
-            for (std::size_t j = 0; j < nr; ++j)
-                acc[i][j] += av * brow[j];
-        }
-    }
-    for (std::size_t i = 0; i < mr; ++i)
-        for (std::size_t j = 0; j < nr; ++j)
-            c[i * ldc + j] += acc[i][j];
-}
-
-/**
  * Epilogue store pass over the tile C[0..mr)x[0..nr): bias add
  * (row- or column-indexed) and/or ReLU, applied to the final
  * accumulated values while the tile is still cache-hot. `row0`/`col0`
@@ -84,8 +58,8 @@ applyEpilogue(const Epilogue &epi, std::size_t row0, std::size_t col0,
  * plus the blocking hierarchy re-aligned to its register tile. The
  * narrow-N fallback keeps panels thinner than the tier's register
  * tile (winograd tile-GEMMs run n = 8..32, FC heads can be narrower
- * still) on the portable 8-wide kernel instead of pushing every
- * column into the scalar edge path. All of this depends only on the
+ * still) on the portable 8-wide kernel instead of running every
+ * column as an edge tile. All of this depends only on the
  * shape and the pinned tier/blocking — never on the thread count.
  */
 struct TiledGemm
@@ -142,8 +116,8 @@ tileSweep(const TiledGemm &t, std::size_t i0, std::size_t i1,
                 t.mk->full(kk, arow, lda, bbase + j, ldb,
                            c + i * ldc + j, ldc, t.pf);
             else
-                microEdge(kk, mi, nj, arow, lda, bbase + j, ldb,
-                          c + i * ldc + j, ldc);
+                t.mk->edge(kk, mi, nj, arow, lda, bbase + j, ldb,
+                           c + i * ldc + j, ldc);
             if (epi != nullptr)
                 applyEpilogue(*epi, row_off + i, j, mi, nj,
                               c + i * ldc + j, ldc);
@@ -428,8 +402,54 @@ validColRange(std::size_t ow, std::size_t stride, std::size_t kx,
     lo = std::min(lo, hi);
 }
 
+/** Per-thread zero-bordered copy of im2col's channel window. */
+thread_local std::vector<float> tlStage;
+
+/**
+ * Copy n floats in fixed-size pieces (8, then 4, 2, 1): each piece is
+ * a constant-size memcpy the compiler turns into one vector move, so
+ * the short rows of the zoo's planes cost no library call.
+ */
+PCNN_HOT_PATH
+inline void
+copyShortRow(float *dst, const float *src, std::size_t n)
+{
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8)
+        std::memcpy(dst + i, src + i, 8 * sizeof(float));
+    if (n - i >= 4) {
+        std::memcpy(dst + i, src + i, 4 * sizeof(float));
+        i += 4;
+    }
+    if (n - i >= 2) {
+        std::memcpy(dst + i, src + i, 2 * sizeof(float));
+        i += 2;
+    }
+    if (i < n)
+        dst[i] = src[i];
+}
+
+/**
+ * Copy the g.inC planes at `src` into `dst` as (inH + 2 pad) x
+ * (inW + 2 pad) planes with a zero border: one fill of the whole
+ * block, then one copy per input row.
+ */
+PCNN_HOT_PATH
+void
+stagePadded(const float *src, const ConvGeom &g, float *dst)
+{
+    const std::size_t hp = g.inH + 2 * g.pad, wp = g.inW + 2 * g.pad;
+    std::fill_n(dst, g.inC * hp * wp, 0.0f);
+    for (std::size_t c = 0; c < g.inC; ++c) {
+        float *plane = dst + c * hp * wp + g.pad * wp + g.pad;
+        for (std::size_t y = 0; y < g.inH; ++y, src += g.inW)
+            copyShortRow(plane + y * wp, src, g.inW);
+    }
+}
+
 } // namespace
 
+PCNN_HOT_PATH
 void
 im2col(const Tensor &x, std::size_t item, const ConvGeom &g,
        std::vector<float> &cols, std::size_t chan_off)
@@ -449,45 +469,44 @@ im2col(const Tensor &x, std::size_t item, const ConvGeom &g,
     if (cols.size() < rows * n_cols)
         cols.resize(rows * n_cols);
 
-    const std::size_t plane = g.inH * g.inW;
-    const float *xbase =
-        x.data() + (item * x.shape().c + chan_off) * plane;
+    // Every tap reads a fixed offset of a zero-bordered plane. With
+    // no padding the input's own channel window is that plane;
+    // otherwise the calling thread stages a bordered copy before the
+    // row fan-out (the workers only read it).
+    const std::size_t hp = g.inH + 2 * g.pad, wp = g.inW + 2 * g.pad;
+    const float *planes =
+        x.data() + (item * x.shape().c + chan_off) * g.inH * g.inW;
+    if (g.pad != 0) {
+        std::vector<float> &stage = tlStage;
+        // pcnn-analyze: allow(hot-path-alloc): grow-only
+        // thread-local staging scratch.
+        if (stage.size() < g.inC * hp * wp)
+            stage.resize(g.inC * hp * wp);
+        stagePadded(planes, g, stage.data());
+        planes = stage.data();
+    }
     const std::size_t taps = g.kernel * g.kernel;
+    const std::size_t stride = g.stride;
 
-    // One thread per band of cols-matrix rows: each row (c, ky, kx)
-    // is a shifted copy of one input plane, written contiguously.
+    // One thread per band of cols-matrix rows: row (c, ky, kx) is
+    // oh segments of ow taps, segment oy starting at padded pixel
+    // (oy * stride + ky, kx) of plane c.
     parallelFor(rows, [&](std::size_t r0, std::size_t r1,
                           std::size_t) {
         for (std::size_t r = r0; r < r1; ++r) {
             const std::size_t c = r / taps;
             const std::size_t ky = (r % taps) / g.kernel;
             const std::size_t kx = r % g.kernel;
-            const float *src_plane = xbase + c * plane;
+            const float *src = planes + c * hp * wp + ky * wp + kx;
             float *out = cols.data() + r * n_cols;
-            std::size_t lo, hi;
-            validColRange(ow, g.stride, kx, g.pad, g.inW, lo, hi);
             for (std::size_t oy = 0; oy < oh; ++oy) {
+                const float *srow = src + oy * stride * wp;
                 float *orow = out + oy * ow;
-                const long iy =
-                    long(oy * g.stride + ky) - long(g.pad);
-                if (iy < 0 || iy >= long(g.inH)) {
-                    std::memset(orow, 0, ow * sizeof(float));
-                    continue;
-                }
-                const float *src = src_plane + std::size_t(iy) * g.inW;
-                if (lo > 0)
-                    std::memset(orow, 0, lo * sizeof(float));
-                if (g.stride == 1) {
-                    std::memcpy(orow + lo, src + lo + kx - g.pad,
-                                (hi - lo) * sizeof(float));
-                } else {
-                    for (std::size_t ox = lo; ox < hi; ++ox)
-                        orow[ox] =
-                            src[ox * g.stride + kx - g.pad];
-                }
-                if (hi < ow)
-                    std::memset(orow + hi, 0,
-                                (ow - hi) * sizeof(float));
+                if (stride == 1)
+                    copyShortRow(orow, srow, ow);
+                else
+                    for (std::size_t ox = 0; ox < ow; ++ox)
+                        orow[ox] = srow[ox * stride];
             }
         }
     });

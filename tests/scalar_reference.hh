@@ -2,9 +2,9 @@
  * @file
  * Per-element scalar forms of the LRN and max-pool forwards, as the
  * layers computed them before their plane-contiguous rewrite
- * (DESIGN.md §5d). The bitwise regression tests hold the layers'
- * current loops to these results, NaN payloads and signed zeros
- * included.
+ * (DESIGN.md §5d), and the row-wise im2col the staged one replaced
+ * (§5b). The bitwise regression tests hold the current loops to these
+ * results, NaN payloads and signed zeros included.
  */
 
 #ifndef PCNN_TESTS_SCALAR_REFERENCE_HH
@@ -13,9 +13,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <vector>
 
 #include "tensor/tensor.hh"
+#include "tensor/tensor_ops.hh"
 
 namespace pcnn {
 
@@ -104,6 +106,66 @@ referenceMaxPool(const Tensor &x, std::size_t window, std::size_t stride,
         }
     }
     return y;
+}
+
+/**
+ * im2col one cols-matrix row (c, ky, kx) at a time, straight from the
+ * unpadded input: each output row segment is a zero run left of the
+ * valid column span, a copy (or strided gather) of the span, and a
+ * zero run right of it; rows that fall in the vertical padding are
+ * all zeros. Same contract and output layout as pcnn::im2col.
+ */
+inline void
+referenceIm2col(const Tensor &x, std::size_t item, const ConvGeom &g,
+                std::vector<float> &cols, std::size_t chan_off = 0)
+{
+    const std::size_t oh = g.outH(), ow = g.outW();
+    const std::size_t n_cols = oh * ow;
+    const std::size_t rows = g.colRows();
+    if (cols.size() < rows * n_cols)
+        cols.resize(rows * n_cols);
+    const std::size_t plane = g.inH * g.inW;
+    const float *xbase =
+        x.data() + (item * x.shape().c + chan_off) * plane;
+    const std::size_t taps = g.kernel * g.kernel;
+    for (std::size_t r = 0; r < rows; ++r) {
+        const std::size_t c = r / taps;
+        const std::size_t ky = (r % taps) / g.kernel;
+        const std::size_t kx = r % g.kernel;
+        const float *src_plane = xbase + c * plane;
+        float *out = cols.data() + r * n_cols;
+        // Output columns [lo, hi) whose tap ox*stride + kx - pad lands
+        // inside [0, inW).
+        std::size_t lo =
+            g.pad > kx ? (g.pad - kx + g.stride - 1) / g.stride : 0;
+        const long last = long(g.inW) - 1 - long(kx) + long(g.pad);
+        const std::size_t hi =
+            last < 0 ? 0
+                     : std::min<std::size_t>(ow, std::size_t(last) /
+                                                     g.stride +
+                                                 1);
+        lo = std::min(lo, hi);
+        for (std::size_t oy = 0; oy < oh; ++oy) {
+            float *orow = out + oy * ow;
+            const long iy = long(oy * g.stride + ky) - long(g.pad);
+            if (iy < 0 || iy >= long(g.inH)) {
+                std::memset(orow, 0, ow * sizeof(float));
+                continue;
+            }
+            const float *src = src_plane + std::size_t(iy) * g.inW;
+            if (lo > 0)
+                std::memset(orow, 0, lo * sizeof(float));
+            if (g.stride == 1) {
+                std::memcpy(orow + lo, src + lo + kx - g.pad,
+                            (hi - lo) * sizeof(float));
+            } else {
+                for (std::size_t ox = lo; ox < hi; ++ox)
+                    orow[ox] = src[ox * g.stride + kx - g.pad];
+            }
+            if (hi < ow)
+                std::memset(orow + hi, 0, (ow - hi) * sizeof(float));
+        }
+    }
 }
 
 } // namespace pcnn

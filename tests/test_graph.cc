@@ -204,6 +204,10 @@ TEST(GraphPasses, FusedReluOpsAppearWhenFoldingOn)
 
 TEST(GraphPasses, InceptionConcatStagingIsEliminatedWhenTiled)
 {
+    // An fp32 property: int8 schedules never item-tile, so pin fp32
+    // even when PCNN_QUANTIZE=1 forces int8 for the rest of the run.
+    ToggleGuard guard;
+    setQuantizeForced(false);
     Network net = zooNet(1, 89u); // MiniInception
     const GraphSchedule s = buildGraphSchedule(net, 16);
     EXPECT_GT(s.tiledOps, 0u);
@@ -221,7 +225,10 @@ TEST(GraphArena, PeakMemoryDropsAtLeast30Percent)
     // MiniVgg and MiniInception at batch 16 drops >= 30% vs. the
     // unfused layer chain's ping-pong buffers + per-layer scratch.
     // Fresh networks per path so neither measurement carries the
-    // other's buffers.
+    // other's buffers. The saving comes from item tiling, which int8
+    // schedules never do, so pin fp32 under PCNN_QUANTIZE=1 too.
+    ToggleGuard guard;
+    setQuantizeForced(false);
     for (int z : {0, 1}) {
         Network chain = zooNet(z, 97u + unsigned(z));
         Network graph = zooNet(z, 97u + unsigned(z));

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -117,6 +118,7 @@ TEST(Microkernel, MicroKernelShapesWithinEdgeScratchBound)
         EXPECT_LE(mk.mr, kMaxMicroMR);
         EXPECT_LE(mk.nr, kMaxMicroNR);
         EXPECT_NE(mk.full, nullptr);
+        EXPECT_NE(mk.edge, nullptr);
     }
 }
 
@@ -259,6 +261,78 @@ TEST(Microkernel, NarrowNFallsBackToPortableBitwise)
         const auto got = runSgemm(m, narrow, k, a, b, 1);
         EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
                                  want.size() * sizeof(float)));
+    }
+}
+
+// Edge tiles run each cell through the full kernel's exact chain, so
+// a product with row and column remainders equals, cell for cell, the
+// same product zero-padded to whole register tiles (where only the
+// full kernel runs). Every m mod mr and n mod nr remainder is covered
+// on every tier, with n >= nr so the narrow-N fallback stays out, and
+// K spans three Kc chunks so the c + acc store runs once per chunk.
+TEST(Microkernel, EdgeTilesMatchFullTileBitwise)
+{
+    DispatchStateGuard guard;
+    setThreadCount(1);
+    Rng rng(31);
+    const std::size_t k = 37;
+    struct Case
+    {
+        float beta;
+        EpilogueOp op;
+    };
+    const Case cases[] = {{0.0f, EpilogueOp::None},
+                          {1.0f, EpilogueOp::None},
+                          {0.0f, EpilogueOp::Bias},
+                          {1.0f, EpilogueOp::BiasRelu}};
+    for (KernelTier tier : supportedKernelTiers()) {
+        const MicroKernel &mk = microKernelFor(tier);
+        setKernelTier(tier);
+        setBlocking(kTinyBlocking);
+        for (std::size_t rm = 0; rm < mk.mr; ++rm) {
+            for (std::size_t rn = 0; rn < mk.nr; ++rn) {
+                const std::size_t m = 2 * mk.mr + rm, n = mk.nr + rn;
+                const std::size_t mp = rm == 0 ? m : m + mk.mr - rm;
+                const std::size_t np = rn == 0 ? n : n + mk.nr - rn;
+                const auto a = randomVec(m * k, rng);
+                const auto b = randomVec(k * n, rng);
+                const auto c0 = randomVec(m * n, rng);
+                const auto bias = randomVec(m, rng);
+                std::vector<float> ap(mp * k, 0.0f), bp(k * np, 0.0f),
+                    cp0(mp * np, 0.0f), biasp(mp, 0.0f);
+                std::copy(a.begin(), a.end(), ap.begin());
+                std::copy(bias.begin(), bias.end(), biasp.begin());
+                for (std::size_t p = 0; p < k; ++p)
+                    std::copy_n(b.data() + p * n, n, bp.data() + p * np);
+                for (std::size_t i = 0; i < m; ++i)
+                    std::copy_n(c0.data() + i * n, n,
+                                cp0.data() + i * np);
+                for (const Case &cs : cases) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << kernelTierName(tier) << " m=" << m
+                                 << " n=" << n << " beta=" << cs.beta
+                                 << " op=" << int(cs.op));
+                    Epilogue epi, epip;
+                    epi.op = epip.op = cs.op;
+                    if (cs.op != EpilogueOp::None) {
+                        epi.bias = bias.data();
+                        epip.bias = biasp.data();
+                    }
+                    std::vector<float> c = c0, cp = cp0;
+                    sgemm(false, false, m, n, k, a.data(), b.data(),
+                          c.data(), cs.beta, epi);
+                    sgemm(false, false, mp, np, k, ap.data(), bp.data(),
+                          cp.data(), cs.beta, epip);
+                    std::size_t diff = 0;
+                    for (std::size_t i = 0; i < m; ++i)
+                        diff += std::memcmp(c.data() + i * n,
+                                            cp.data() + i * np,
+                                            n * sizeof(float)) != 0;
+                    ASSERT_EQ(diff, 0u) << "rows differ from the padded "
+                                           "product";
+                }
+            }
+        }
     }
 }
 

@@ -7,8 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <limits>
 
 #include "common/random.hh"
+#include "scalar_reference.hh"
 #include "tensor/tensor.hh"
 #include "tensor/tensor_ops.hh"
 
@@ -229,6 +234,76 @@ TEST(Im2col, ZeroPaddingProducesZeros)
     EXPECT_FLOAT_EQ(cols[0 * 4 + 0], 0.0f);
     // Center tap of (0,0) is the pixel (0,0).
     EXPECT_FLOAT_EQ(cols[4 * 4 + 0], 1.0f);
+}
+
+/** A float with the given bit pattern (NaN payloads, signed zeros). */
+float
+fromBits(std::uint32_t bits)
+{
+    float f;
+    std::memcpy(&f, &bits, sizeof(f));
+    return f;
+}
+
+// The staged im2col (zero-bordered plane copy, fixed-offset taps)
+// writes exactly the bits of the row-wise reference it replaced, for
+// every kernel/stride/pad mix, channel window and plane shape —
+// including NaN payloads and signed zeros, which a copy must carry
+// through untouched. Each side starts from a different NaN sentinel,
+// so a cell the staged version forgets to write cannot match.
+TEST(Im2col, StagedMatchesRowwiseReferenceBitwise)
+{
+    Rng rng(41);
+    const float specials[] = {
+        fromBits(0x7fc01234u), // quiet NaN, payload
+        fromBits(0xffc00abcu), // negative quiet NaN, payload
+        fromBits(0x7f800001u), // signaling NaN
+        0.0f,
+        -0.0f,
+        std::numeric_limits<float>::infinity(),
+        -std::numeric_limits<float>::infinity(),
+    };
+    struct Plane
+    {
+        std::size_t h, w;
+    };
+    const Plane planes[] = {{1, 1}, {7, 7}, {5, 9}, {16, 12}, {13, 13}};
+    // (window width, offset) into a 5-channel tensor: the whole
+    // tensor, and grouped windows at both ends.
+    const std::size_t windows[][2] = {{5, 0}, {2, 0}, {3, 2}};
+    std::size_t checked = 0;
+    for (const Plane &pl : planes) {
+        Tensor x(2, 5, pl.h, pl.w);
+        x.fillGaussian(rng, 0, 1);
+        for (std::size_t i = 0; i < x.size(); i += 7)
+            x[i] = specials[(i / 7) % std::size(specials)];
+        for (std::size_t kernel : {1, 3, 5, 11}) {
+            for (std::size_t stride : {1, 2, 4}) {
+                for (std::size_t pad : {0, 1, 2}) {
+                    if (pl.h + 2 * pad < kernel || pl.w + 2 * pad < kernel)
+                        continue;
+                    for (const auto &win : windows) {
+                        const ConvGeom g{win[0], pl.h, pl.w, kernel,
+                                         stride, pad};
+                        const std::size_t n =
+                            g.colRows() * g.outH() * g.outW();
+                        std::vector<float> want(n, fromBits(0x7fa00001u));
+                        std::vector<float> got(n, fromBits(0x7fa00002u));
+                        referenceIm2col(x, 1, g, want, win[1]);
+                        im2col(x, 1, g, got, win[1]);
+                        ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
+                                                 n * sizeof(float)))
+                            << "plane " << pl.h << "x" << pl.w
+                            << " kernel " << kernel << " stride "
+                            << stride << " pad " << pad << " channels "
+                            << win[0] << "@" << win[1];
+                        ++checked;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(checked, 300u);
 }
 
 TEST(Im2colAt, SubsetMatchesFull)
