@@ -19,7 +19,6 @@
 #include "common/parallel.hh"
 #include "common/random.hh"
 #include "nn/conv_layer.hh"
-#include "nn/fusion.hh"
 #include "nn/graph/compiled_graph.hh"
 #include "nn/model_zoo.hh"
 #include "nn/network.hh"
@@ -196,8 +195,8 @@ BENCHMARK(BM_ConvAlgoLayer)
  * Whole-net batch-1 forward with every conv/fc layer on the int8
  * quantized route vs. the fp32 default — the network-level A/B of
  * the DESIGN.md §5i microbench rows. range(0) = model_zoo net,
- * range(1) = 0 (fp32) / 1 (int8, via the process-wide force that
- * the PCNN_QUANTIZE CI leg also uses).
+ * range(1) = 0 (fp32) / 1 (int8, Network::setQuantized on every
+ * conv/fc layer).
  *
  * Beyond latency, each row carries the accuracy-proxy counters the
  * perforation/precision tuner trades against: top1_match is the
@@ -223,11 +222,10 @@ BM_E2EQuantized(benchmark::State &state)
     const std::size_t probe = 16;
     Tensor xp(Shape{probe, in.c, in.h, in.w});
     xp.fillGaussian(rng, 0, 1);
-    setQuantizeForced(false);
     const Tensor ref = net.forward(xp, false);
     const std::size_t classes = ref.size() / probe;
     const double ref_entropy = batchEntropy(softmax(ref));
-    setQuantizeForced(int8);
+    net.setQuantized(int8);
     const Tensor got = net.forward(xp, false);
     std::size_t matches = 0;
     for (std::size_t i = 0; i < probe; ++i) {
@@ -255,7 +253,6 @@ BM_E2EQuantized(benchmark::State &state)
         benchmark::DoNotOptimize(y.data());
         steady_allocs += alloc_probe.allocs();
     }
-    clearQuantizeForced();
 
     state.SetItemsProcessed(int64_t(state.iterations()));
     state.counters["img/s"] = benchmark::Counter(

@@ -489,25 +489,37 @@ constexpr ZooConvRow kZooConvRows[] = {
     {"MiniInception", "INC1/5x5"},
 };
 
+/** The spec of one kZooConvRows row, drawn from its zoo net. */
+ConvSpec
+zooRowSpec(const ZooConvRow &row, Rng &rng)
+{
+    const std::string net = row.net;
+    const NetDescriptor d =
+        describe(net == "MiniAlexNet" ? makeMiniAlexNet(rng)
+                 : net == "MiniVgg"   ? makeMiniVgg(rng)
+                                      : makeMiniInception(rng));
+    return zooConv(d, row.layer);
+}
+
 /**
- * The zoo's conv layers one at a time at one lane, batch 1, on the
- * algorithm the layer dispatches to (the compiled graph's route;
- * PCNN_CONV_ALGO forces another). range(0) indexes kZooConvRows; the
- * label names the layer and its algorithm.
+ * The zoo's conv layers one at a time at one lane, batch 1.
+ * range(0) indexes kZooConvRows; range(1) is the ConvAlgo encoding
+ * the layer is pinned to (0 = im2col, 2 = winograd) or -1 for the
+ * route it dispatches to (the compiled graph's route), so the
+ * im2col/winograd crossover reads off adjacent rows. Pairs whose
+ * geometry does not admit the algorithm are not registered. The
+ * label names the layer and the algorithm that ran.
  */
 void
 BM_ConvForwardZoo(benchmark::State &state)
 {
     const ZooConvRow &row = kZooConvRows[state.range(0)];
     Rng rng(8);
-    const std::string net = row.net;
-    const NetDescriptor d =
-        describe(net == "MiniAlexNet" ? makeMiniAlexNet(rng)
-                 : net == "MiniVgg"   ? makeMiniVgg(rng)
-                                      : makeMiniInception(rng));
-    const ConvSpec &spec = zooConv(d, row.layer);
+    const ConvSpec spec = zooRowSpec(row, rng);
     ScopedLaneLimit lanes(1);
     ConvLayer layer(spec, rng);
+    if (state.range(1) >= 0)
+        layer.setAlgo(ConvAlgo(int(state.range(1))));
     Tensor x(1, spec.inC, spec.inH, spec.inW);
     x.fillGaussian(rng, 0, 1);
     Tensor y;
@@ -515,14 +527,29 @@ BM_ConvForwardZoo(benchmark::State &state)
         layer.forwardInto(x, false, y);
         benchmark::DoNotOptimize(y.data());
     }
-    state.SetLabel(net + " " + spec.name + " " +
+    state.SetLabel(std::string(row.net) + " " + spec.name + " " +
                    convAlgoName(layer.effectiveAlgo(false)));
     state.counters["GFLOPS"] = benchmark::Counter(
         spec.flopsPerImage() * double(state.iterations()) * 1e-9,
         benchmark::Counter::kIsRate);
 }
+
+/** Every (row, algorithm) pair of BM_ConvForwardZoo that can run. */
+void
+zooConvArgs(benchmark::internal::Benchmark *b)
+{
+    for (int r = 0; r < int(std::size(kZooConvRows)); ++r) {
+        Rng rng(8);
+        const ConvSpec spec = zooRowSpec(kZooConvRows[r], rng);
+        for (int algo :
+             {int(ConvAlgo::Im2col), int(ConvAlgo::Winograd), -1})
+            if (algo < 0 || spec.algoEligible(ConvAlgo(algo)))
+                b->Args({r, algo});
+    }
+}
 BENCHMARK(BM_ConvForwardZoo)
-    ->DenseRange(0, int(std::size(kZooConvRows)) - 1);
+    ->ArgNames({"row", "algo"})
+    ->Apply(zooConvArgs);
 
 /**
  * MiniAlexNet's LRN1 on its [12,16,16] activations at range(0) =

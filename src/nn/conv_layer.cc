@@ -7,7 +7,6 @@
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "common/tags.hh"
-#include "nn/fusion.hh"
 #include "tensor/winograd.hh"
 
 namespace pcnn {
@@ -129,13 +128,6 @@ ConvLayer::setAlgo(ConvAlgo a)
     algoSel = a;
 }
 
-void
-ConvLayer::clearAlgo()
-{
-    algoPinned = false;
-    algoSel = ConvAlgo::Im2col;
-}
-
 ConvAlgo
 ConvLayer::plannedAlgo() const
 {
@@ -148,7 +140,7 @@ ConvLayer::effectiveQuantized(bool train) const
     // Training always runs fp32: backward needs exact activations,
     // and quantization is an inference-time approximation like
     // perforation.
-    return !train && (quantOn || quantizeForced());
+    return !train && quantOn;
 }
 
 ConvAlgo
@@ -162,9 +154,6 @@ ConvLayer::effectiveAlgo(bool train) const
     if (train || perforated())
         return is1x1Passthrough() ? ConvAlgo::Direct1x1
                                   : ConvAlgo::Im2col;
-    ConvAlgo forced;
-    if (forcedConvAlgo(forced) && spc.algoEligible(forced))
-        return forced;
     return plannedAlgo();
 }
 

@@ -70,17 +70,13 @@ class ConvLayer : public Layer
      */
     void setAlgo(ConvAlgo a);
 
-    /** Remove a pinned algorithm; dispatch returns to the cost model. */
-    void clearAlgo();
-
     /** Pinned algorithm, or the cost-model choice when unpinned. */
     ConvAlgo plannedAlgo() const;
 
     /**
-     * The algorithm the next forward will actually run: the
-     * PCNN_CONV_ALGO force (where eligible) beats the pinned plan
-     * choice beats the cost model; training and perforated forwards
-     * always take the exact im2col/1x1 route.
+     * The algorithm the next forward will actually run: training and
+     * perforated forwards always take the exact im2col/1x1 route;
+     * otherwise the pinned plan choice beats the cost model.
      */
     ConvAlgo effectiveAlgo(bool train) const;
 
@@ -129,8 +125,8 @@ class ConvLayer : public Layer
 
     /**
      * True when a forward with this `train` flag runs int8: enabled
-     * per layer (plan v3 / precision tuning) or forced process-wide
-     * by PCNN_QUANTIZE=1; never during training.
+     * on this layer (plan v3 / precision tuning) and never during
+     * training.
      */
     bool effectiveQuantized(bool train) const;
 
@@ -146,9 +142,6 @@ class ConvLayer : public Layer
         inQuant = qp;
         haveInQuant = true;
     }
-
-    /** Drop pinned input params; revert to dynamic ranges. */
-    void clearInputQuant() { haveInQuant = false; }
 
     /** True when offline-calibrated input params are pinned. */
     bool hasInputQuant() const { return haveInQuant; }

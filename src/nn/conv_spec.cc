@@ -19,21 +19,6 @@ convAlgoName(ConvAlgo a)
     return "invalid";
 }
 
-bool
-parseConvAlgo(const std::string &s, ConvAlgo &out)
-{
-    if (s == "im2col") {
-        out = ConvAlgo::Im2col;
-    } else if (s == "direct1x1" || s == "1x1") {
-        out = ConvAlgo::Direct1x1;
-    } else if (s == "winograd") {
-        out = ConvAlgo::Winograd;
-    } else {
-        return false;
-    }
-    return true;
-}
-
 ConvGeom
 ConvSpec::geom() const
 {

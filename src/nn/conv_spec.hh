@@ -33,14 +33,8 @@ enum class ConvAlgo : std::uint8_t
     Winograd = 2,  ///< F(2x2,3x3) transform domain (3x3/s1 only)
 };
 
-/** Stable lower-case name, e.g. for plans, benches and env parsing. */
+/** Stable lower-case name, e.g. for plans, benches and logs. */
 const char *convAlgoName(ConvAlgo a);
-
-/**
- * Parse a convAlgoName() string (also accepts "1x1" for Direct1x1).
- * Returns false — leaving `out` untouched — on unknown input.
- */
-bool parseConvAlgo(const std::string &s, ConvAlgo &out);
 
 /**
  * Shape-level description of a convolutional layer.
@@ -127,8 +121,8 @@ struct ConvSpec
 
 /**
  * CPU-calibrated cost model choosing the fastest eligible algorithm
- * for a layer shape (the plan-time default; an offline plan or the
- * PCNN_CONV_ALGO override can pin a different choice). Constants are
+ * for a layer shape (the plan-time default; an offline plan can pin
+ * a different choice per layer with ConvLayer::setAlgo). Constants are
  * fit against the per-algorithm latency sweep in BENCH_pr4.json.
  */
 ConvAlgo selectConvAlgo(const ConvSpec &spec);

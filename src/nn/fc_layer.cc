@@ -6,7 +6,6 @@
 #include "common/check.hh"
 #include "common/logging.hh"
 #include "common/tags.hh"
-#include "nn/fusion.hh"
 #include "tensor/tensor_ops.hh"
 
 namespace pcnn {
@@ -85,7 +84,7 @@ bool
 FcLayer::effectiveQuantized(bool train) const
 {
     // Training always runs fp32 (backward needs exact activations).
-    return !train && (quantOn || quantizeForced());
+    return !train && quantOn;
 }
 
 void

@@ -67,7 +67,7 @@ class FcLayer : public Layer
     bool quantizedEnabled() const { return quantOn; }
 
     /** True when a forward with this `train` flag runs int8 (layer
-     * flag or PCNN_QUANTIZE=1; never during training). */
+     * flag set; never during training). */
     bool effectiveQuantized(bool train) const;
 
     /** Pin offline-calibrated input-activation quant params (from a
@@ -79,12 +79,6 @@ class FcLayer : public Layer
         inQuant = qp;
         haveInQuant = true;
     }
-
-    /** Drop pinned input params; revert to dynamic ranges. */
-    void clearInputQuant() { haveInQuant = false; }
-
-    /** True when offline-calibrated input params are pinned. */
-    bool hasInputQuant() const { return haveInQuant; }
 
     std::size_t
     steadyStateScratchBytes() const override

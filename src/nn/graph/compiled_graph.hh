@@ -38,9 +38,9 @@ std::vector<Layer *> flattenNetworkLayers(Network &net);
 
 /**
  * True when the next inference forward of any conv/fc layer in `net`
- * would take the int8 route (per-layer flag or the PCNN_QUANTIZE
- * force). Dynamic activation-quantization params are derived from
- * the whole input batch, which couples items together — the compiler
+ * would take the int8 route (its per-layer flag is set). Dynamic
+ * activation-quantization params are derived from the whole input
+ * batch, which couples items together — the compiler
  * disables item tiling under this fingerprint, and Network uses it
  * to detect a stale compiled graph.
  */

@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "common/check.hh"
-#include "nn/fusion.hh"
 #include "nn/graph/compiled_graph.hh"
 #include "nn/graph/graph_internal.hh"
 #include "nn/inception_layer.hh"
@@ -302,8 +301,6 @@ flattenNetworkLayers(Network &net)
 bool
 graphQuantFingerprint(const Network &net)
 {
-    if (quantizeForced())
-        return true;
     for (const ConvLayer *c : net.convLayers())
         if (c->quantizedEnabled())
             return true;

@@ -160,15 +160,6 @@ class Layer
             d[i] = d[i] < 0.0f ? 0.0f : d[i];
     }
 
-    /** Allocating convenience wrapper over forwardFusedReluInto. */
-    Tensor
-    forwardFusedRelu(const Tensor &x)
-    {
-        Tensor y;
-        forwardFusedReluInto(x, y);
-        return y;
-    }
-
     /** Trainable parameters (empty for stateless layers). */
     virtual std::vector<Param *> params() { return {}; }
 

@@ -177,12 +177,12 @@ Network::clearPerforation()
 }
 
 void
-Network::clearQuantization()
+Network::setQuantized(bool on)
 {
     for (ConvLayer *c : convs)
-        c->setQuantized(false);
+        c->setQuantized(on);
     for (FcLayer *f : fcs)
-        f->setQuantized(false);
+        f->setQuantized(on);
 }
 
 Network

@@ -145,8 +145,11 @@ class Network
     /** Reset all conv layers to unperforated execution. */
     void clearPerforation();
 
-    /** Reset all conv/fc layers to the fp32 inference route. */
-    void clearQuantization();
+    /**
+     * Put every conv/fc layer (inception branches included) on the
+     * int8 inference route, or back on fp32 with `on` false.
+     */
+    void setQuantized(bool on);
 
     /**
      * Replicate the network for a concurrent serving worker

@@ -57,8 +57,9 @@ TEST(AllocProbe, CountersObserveAllocatorTraffic)
 /**
  * Warmed forward over a fixed batch: zero allocations on the calling
  * thread, for each of the three model-zoo nets, at pool widths
- * 1/2/4. The lane workers' own thread-local scratch grows during
- * warm-up and is invisible afterwards either way.
+ * 1/2/4, on the fp32 and the int8 route. The lane workers' own
+ * thread-local scratch grows during warm-up and is invisible
+ * afterwards either way.
  */
 TEST(AllocProbe, WarmForwardIsAllocFree)
 {
@@ -66,33 +67,37 @@ TEST(AllocProbe, WarmForwardIsAllocFree)
         GTEST_SKIP() << "PCNN_COUNT_ALLOCS disabled in this build";
 
     ThreadCountGuard guard;
-    for (std::size_t threads : {std::size_t(1), std::size_t(2),
-                                std::size_t(4)}) {
-        setThreadCount(threads);
-        for (int zoo = 0; zoo < 3; ++zoo) {
-            Rng rng(42);
-            Network net = zoo == 0   ? makeMiniAlexNet(rng)
-                          : zoo == 1 ? makeMiniVgg(rng)
-                                     : makeMiniInception(rng);
-            const Shape &in = net.inputShape();
-            Tensor x(Shape{4, in.c, in.h, in.w});
-            x.fillGaussian(rng, 0, 1);
+    for (bool int8 : {false, true})
+        for (std::size_t threads : {std::size_t(1), std::size_t(2),
+                                    std::size_t(4)}) {
+            setThreadCount(threads);
+            for (int zoo = 0; zoo < 3; ++zoo) {
+                Rng rng(42);
+                Network net = zoo == 0   ? makeMiniAlexNet(rng)
+                              : zoo == 1 ? makeMiniVgg(rng)
+                                         : makeMiniInception(rng);
+                net.setQuantized(int8);
+                const Shape &in = net.inputShape();
+                Tensor x(Shape{4, in.c, in.h, in.w});
+                x.fillGaussian(rng, 0, 1);
 
-            // Warm-up: grows activations, scratch, weight panels,
-            // and (on the first parallel call at this width) the
-            // pool's worker threads.
-            Tensor y;
-            net.forwardInto(x, false, y);
-            net.forwardInto(x, false, y);
+                // Warm-up: grows activations, scratch, weight
+                // panels, and (on the first parallel call at this
+                // width) the pool's worker threads.
+                Tensor y;
+                net.forwardInto(x, false, y);
+                net.forwardInto(x, false, y);
 
-            ScopedAllocCount probe;
-            net.forwardInto(x, false, y);
-            EXPECT_EQ(probe.allocs(), 0u)
-                << "zoo " << zoo << " threads " << threads;
-            EXPECT_EQ(probe.frees(), 0u)
-                << "zoo " << zoo << " threads " << threads;
+                ScopedAllocCount probe;
+                net.forwardInto(x, false, y);
+                EXPECT_EQ(probe.allocs(), 0u) << "zoo " << zoo
+                                              << " threads " << threads
+                                              << " int8 " << int8;
+                EXPECT_EQ(probe.frees(), 0u) << "zoo " << zoo
+                                             << " threads " << threads
+                                             << " int8 " << int8;
+            }
         }
-    }
 }
 
 /**
@@ -124,44 +129,49 @@ TEST(AllocProbe, SmallerBatchReusesCapacity)
 /**
  * End-to-end: the serving engine's own steady-state probe (worker
  * batches whose size was already served) must report zero
- * allocations in the metrics snapshot.
+ * allocations in the metrics snapshot, on the fp32 and the int8
+ * route.
  */
 TEST(AllocProbe, ServingEngineSteadyStateIsAllocFree)
 {
     if (!allocCountingEnabled())
         GTEST_SKIP() << "PCNN_COUNT_ALLOCS disabled in this build";
 
-    Rng rng(42);
-    ModelRegistry reg;
-    ModelConfig mc;
-    mc.name = "alex";
-    mc.maxBatch = 1;
-    ASSERT_EQ(reg.registerModel(makeMiniAlexNet(rng), std::move(mc)),
-              RegisterStatus::Registered);
-    MultiEngineConfig cfg;
-    cfg.workers = 1;
-    MultiTenantEngine engine(reg, cfg);
+    for (bool int8 : {false, true}) {
+        Rng rng(42);
+        Network net = makeMiniAlexNet(rng);
+        net.setQuantized(int8);
+        ModelRegistry reg;
+        ModelConfig mc;
+        mc.name = "alex";
+        mc.maxBatch = 1;
+        ASSERT_EQ(reg.registerModel(std::move(net), std::move(mc)),
+                  RegisterStatus::Registered);
+        MultiEngineConfig cfg;
+        cfg.workers = 1;
+        MultiTenantEngine engine(reg, cfg);
 
-    const Shape &in = reg.model(0).inputShape();
-    Rng inputs(9);
-    std::vector<std::future<TenantResult>> futs;
-    for (int i = 0; i < 24; ++i) {
-        Tensor t(Shape{1, in.c, in.h, in.w});
-        t.fillUniform(inputs, -1.0f, 1.0f);
-        auto sub =
-            engine.submit(0, TaskClass::Interactive, std::move(t));
-        ASSERT_EQ(sub.status, SubmitStatus::Accepted);
-        futs.push_back(std::move(sub.result));
+        const Shape &in = reg.model(0).inputShape();
+        Rng inputs(9);
+        std::vector<std::future<TenantResult>> futs;
+        for (int i = 0; i < 24; ++i) {
+            Tensor t(Shape{1, in.c, in.h, in.w});
+            t.fillUniform(inputs, -1.0f, 1.0f);
+            auto sub =
+                engine.submit(0, TaskClass::Interactive, std::move(t));
+            ASSERT_EQ(sub.status, SubmitStatus::Accepted);
+            futs.push_back(std::move(sub.result));
+        }
+        for (auto &f : futs)
+            f.get();
+
+        const TenantMetricsSnapshot m = engine.metrics();
+        engine.stop();
+        // 24 batch-1 requests on one worker: at most the first batch
+        // is outside the steady envelope.
+        EXPECT_GE(m.steadyProbedBatches, 20u) << "int8 " << int8;
+        EXPECT_EQ(m.steadyAllocs, 0u) << "int8 " << int8;
     }
-    for (auto &f : futs)
-        f.get();
-
-    const TenantMetricsSnapshot m = engine.metrics();
-    engine.stop();
-    // 24 batch-1 requests on one worker: at most the first batch is
-    // outside the steady envelope.
-    EXPECT_GE(m.steadyProbedBatches, 20u);
-    EXPECT_EQ(m.steadyAllocs, 0u);
 }
 
 } // namespace

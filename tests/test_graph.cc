@@ -9,7 +9,7 @@
  *     (tests/unfused_reference.hh), its fused ReLUs clamping exactly
  *     the sums a separate ReLU pass would see, so logits must be
  *     bitwise identical for every model-zoo network, batch size and
- *     kernel tier (fp32 / forced int8 / perforated) — at every
+ *     route (fp32 / int8 on every layer / perforated) — at every
  *     PCNN_THREADS width (the .threads2 re-run covers that axis).
  *
  *  2. The static arena. One allocation per compiled graph, offsets
@@ -32,7 +32,6 @@
 #include "common/alloc_count.hh"
 #include "common/parallel.hh"
 #include "common/random.hh"
-#include "nn/fusion.hh"
 #include "nn/graph/compiled_graph.hh"
 #include "nn/graph/graph_ir.hh"
 #include "nn/model_zoo.hh"
@@ -44,13 +43,6 @@
 
 namespace pcnn {
 namespace {
-
-/** Restores the quantization toggle when a test flips it. */
-class ToggleGuard
-{
-  public:
-    ~ToggleGuard() { clearQuantizeForced(); }
-};
 
 bool
 bitwiseEqual(const Tensor &a, const Tensor &b)
@@ -100,7 +92,6 @@ expectGraphParity(Network &net, const Tensor &x)
 
 TEST(GraphParity, MatchesLegacyAcrossZooAndBatches)
 {
-    ToggleGuard guard;
     for (int z = 0; z < kZooCount; ++z) {
         Network net = zooNet(z, 11u + unsigned(z));
         for (std::size_t n : {std::size_t(1), std::size_t(3),
@@ -113,10 +104,9 @@ TEST(GraphParity, MatchesLegacyAcrossZooAndBatches)
 
 TEST(GraphParity, MatchesLegacyUnderForcedInt8)
 {
-    ToggleGuard guard;
-    setQuantizeForced(true);
     for (int z = 0; z < kZooCount; ++z) {
         Network net = zooNet(z, 41u + unsigned(z));
+        net.setQuantized(true);
         for (std::size_t n : {std::size_t(1), std::size_t(3),
                               std::size_t(16)}) {
             const Tensor x = zooInput(net, n, 43u + unsigned(n));
@@ -132,7 +122,6 @@ TEST(GraphParity, MatchesLegacyUnderForcedInt8)
 
 TEST(GraphParity, MatchesLegacyUnderPerforation)
 {
-    ToggleGuard guard;
     Network net = zooNet(0, 53u); // MiniVgg: conv-heavy
     for (ConvLayer *c : net.convLayers())
         c->setComputedPositions((c->fullPositions() + 1) / 2);
@@ -142,19 +131,19 @@ TEST(GraphParity, MatchesLegacyUnderPerforation)
 
 TEST(GraphParity, ToggleFlipsRecompileNotCorrupt)
 {
-    // Flipping the quantization toggle between graph runs must
+    // Flipping one layer's quantization flag between graph runs must
     // recompile (stale fingerprint) and keep matching the unfused
-    // chain.
-    ToggleGuard guard;
+    // chain, both ways.
     Network net = zooNet(1, 61u); // MiniInception
     const Tensor x = zooInput(net, 4, 67u);
     expectGraphParity(net, x);
-    const std::size_t compiles = net.graphCompileCount();
-    setQuantizeForced(!quantizeForced());
-    expectGraphParity(net, x);
-    EXPECT_GT(net.graphCompileCount(), compiles);
-    clearQuantizeForced();
-    expectGraphParity(net, x);
+    ConvLayer *flip = net.convLayers().back();
+    for (bool on : {true, false}) {
+        const std::size_t compiles = net.graphCompileCount();
+        flip->setQuantized(on);
+        expectGraphParity(net, x);
+        EXPECT_GT(net.graphCompileCount(), compiles) << "int8 " << on;
+    }
 }
 
 TEST(GraphParity, RepeatRunsAreDeterministic)
@@ -204,10 +193,7 @@ TEST(GraphPasses, FusedReluOpsAppearWhenFoldingOn)
 
 TEST(GraphPasses, InceptionConcatStagingIsEliminatedWhenTiled)
 {
-    // An fp32 property: int8 schedules never item-tile, so pin fp32
-    // even when PCNN_QUANTIZE=1 forces int8 for the rest of the run.
-    ToggleGuard guard;
-    setQuantizeForced(false);
+    // An fp32 property: int8 schedules never item-tile.
     Network net = zooNet(1, 89u); // MiniInception
     const GraphSchedule s = buildGraphSchedule(net, 16);
     EXPECT_GT(s.tiledOps, 0u);
@@ -226,9 +212,7 @@ TEST(GraphArena, PeakMemoryDropsAtLeast30Percent)
     // unfused layer chain's ping-pong buffers + per-layer scratch.
     // Fresh networks per path so neither measurement carries the
     // other's buffers. The saving comes from item tiling, which int8
-    // schedules never do, so pin fp32 under PCNN_QUANTIZE=1 too.
-    ToggleGuard guard;
-    setQuantizeForced(false);
+    // schedules never do, so this is an fp32 property.
     for (int z : {0, 1}) {
         Network chain = zooNet(z, 97u + unsigned(z));
         Network graph = zooNet(z, 97u + unsigned(z));
@@ -263,32 +247,38 @@ TEST(GraphArena, ScheduleSurvivesValidation)
     }
 }
 
+/** Zero steady-state allocations on the fp32 and the int8 route. */
 TEST(GraphArena, SteadyStateRunsAreAllocationFree)
 {
     if (!allocCountingEnabled())
         GTEST_SKIP() << "PCNN_COUNT_ALLOCS disabled in this build";
-    for (int z = 0; z < kZooCount; ++z) {
-        Network net = zooNet(z, 107u + unsigned(z));
-        const Tensor x16 = zooInput(net, 16, 109u);
-        const Tensor x1 = zooInput(net, 1, 113u);
-        Tensor out16, out1;
-        net.forwardInto(x16, false, out16);
-        net.forwardInto(x16, false, out16);
-        net.forwardInto(x1, false, out1);
-        {
-            ScopedAllocCount probe;
+    for (bool int8 : {false, true})
+        for (int z = 0; z < kZooCount; ++z) {
+            Network net = zooNet(z, 107u + unsigned(z));
+            net.setQuantized(int8);
+            const Tensor x16 = zooInput(net, 16, 109u);
+            const Tensor x1 = zooInput(net, 1, 113u);
+            Tensor out16, out1;
             net.forwardInto(x16, false, out16);
-            EXPECT_EQ(probe.allocs(), 0u)
-                << net.name() << " batch 16 steady state";
-        }
-        {
-            ScopedAllocCount probe;
+            net.forwardInto(x16, false, out16);
             net.forwardInto(x1, false, out1);
-            EXPECT_EQ(probe.allocs(), 0u)
-                << net.name() << " batch 1 steady state";
+            {
+                ScopedAllocCount probe;
+                net.forwardInto(x16, false, out16);
+                EXPECT_EQ(probe.allocs(), 0u)
+                    << net.name() << " int8 " << int8
+                    << " batch 16 steady state";
+            }
+            {
+                ScopedAllocCount probe;
+                net.forwardInto(x1, false, out1);
+                EXPECT_EQ(probe.allocs(), 0u)
+                    << net.name() << " int8 " << int8
+                    << " batch 1 steady state";
+            }
+            EXPECT_EQ(net.graphCompileCount(), 1u)
+                << net.name() << " int8 " << int8;
         }
-        EXPECT_EQ(net.graphCompileCount(), 1u) << net.name();
-    }
 }
 
 // ------------------------------------------------- plan format v4

@@ -9,6 +9,7 @@
 
 #include <cmath>
 
+#include "conv_algo_pin.hh"
 #include "nn/conv_layer.hh"
 #include "nn/dropout_layer.hh"
 #include "nn/fc_layer.hh"
@@ -84,18 +85,22 @@ refConv(const Tensor &x, const Tensor &w, const Tensor &b,
 
 // ---------------------------------------------------------- ConvLayer
 
+/** Every algorithm eligible for a 3x3/s1 conv, pinned in turn. */
 TEST(ConvLayer, MatchesDirectConvolution)
 {
     Rng rng(1);
     ConvLayer layer(spec(3, 8, 3, 1, 1, 7), rng);
     Tensor x(2, 3, 7, 7);
     x.fillGaussian(rng, 0, 1);
-    const Tensor y = layer.forward(x, false);
 
     Tensor w = layer.params()[0]->value;
     Tensor b = layer.params()[1]->value;
     const Tensor ref = refConv(x, w, b, layer.spec());
-    EXPECT_LT(y.maxAbsDiff(ref), 1e-4);
+    for (ConvAlgo a : eligibleConvAlgos(layer.spec())) {
+        layer.setAlgo(a);
+        const Tensor y = layer.forward(x, false);
+        EXPECT_LT(y.maxAbsDiff(ref), 1e-4) << convAlgoName(a);
+    }
 }
 
 TEST(ConvLayer, StridedMatchesDirect)
@@ -116,10 +121,13 @@ TEST(ConvLayer, GroupedMatchesDirect)
     ConvLayer layer(spec(4, 6, 3, 1, 1, 5, 2), rng);
     Tensor x(2, 4, 5, 5);
     x.fillGaussian(rng, 0, 1);
-    const Tensor y = layer.forward(x, false);
     const Tensor ref = refConv(x, layer.params()[0]->value,
                                layer.params()[1]->value, layer.spec());
-    EXPECT_LT(y.maxAbsDiff(ref), 1e-4);
+    for (ConvAlgo a : eligibleConvAlgos(layer.spec())) {
+        layer.setAlgo(a);
+        const Tensor y = layer.forward(x, false);
+        EXPECT_LT(y.maxAbsDiff(ref), 1e-4) << convAlgoName(a);
+    }
 }
 
 TEST(ConvLayer, OutputShape)

@@ -15,6 +15,7 @@
 
 #include "common/parallel.hh"
 #include "common/random.hh"
+#include "conv_algo_pin.hh"
 #include "nn/conv_layer.hh"
 #include "nn/model_zoo.hh"
 #include "nn/network.hh"
@@ -201,76 +202,91 @@ TEST(Prepack, Grouped1x1MatchesIm2colRoute)
  * post-step weights, i.e. the packed caches must notice the update.
  * Cross-check against a twin network built from the same seed whose
  * weights are overwritten to the post-step values before its FIRST
- * forward (so its caches are built fresh from those weights).
+ * forward (so its caches are built fresh from those weights). Runs
+ * on every conv route, so the winograd transform panels are held to
+ * the protocol alongside the packed GEMM panels.
  */
 TEST(Prepack, SgdStepInvalidatesPackedCaches)
 {
-    Rng rng_a(21);
-    Network a = makeMiniInception(rng_a);
     Rng xr(22);
     Tensor x(1, 1, 16, 16);
     for (std::size_t i = 0; i < x.size(); ++i)
         x[i] = float(xr.uniform(-1.0, 1.0));
 
-    // Warm a's packed caches, then train one step.
-    (void)a.forward(x, false);
-    Tensor logits = a.forward(x, true);
-    a.backward(logits); // any gradient signal will do
-    SgdOptimizer opt(SgdConfig{});
-    opt.step(a.params());
-    Tensor after = a.forward(x, false);
+    for (const std::optional<ConvAlgo> &route : networkConvRoutes()) {
+        SCOPED_TRACE(convRouteName(route));
+        Rng rng_a(21);
+        Network a = makeMiniInception(rng_a);
+        pinConvRoute(a, route);
 
-    // Twin: identical architecture, weights forced to a's post-step
-    // values before any forward, so no stale cache can exist.
-    Rng rng_b(21);
-    Network b = makeMiniInception(rng_b);
-    auto pa = a.params();
-    auto pb = b.params();
-    ASSERT_EQ(pa.size(), pb.size());
-    for (std::size_t i = 0; i < pa.size(); ++i) {
-        ASSERT_EQ(pa[i]->value.size(), pb[i]->value.size());
-        pb[i]->value = pa[i]->value;
-        pb[i]->markUpdated();
+        // Warm a's packed caches, then train one step.
+        (void)a.forward(x, false);
+        Tensor logits = a.forward(x, true);
+        a.backward(logits); // any gradient signal will do
+        SgdOptimizer opt(SgdConfig{});
+        opt.step(a.params());
+        Tensor after = a.forward(x, false);
+
+        // Twin: identical architecture, weights forced to a's
+        // post-step values before any forward, so no stale cache
+        // can exist.
+        Rng rng_b(21);
+        Network b = makeMiniInception(rng_b);
+        pinConvRoute(b, route);
+        auto pa = a.params();
+        auto pb = b.params();
+        ASSERT_EQ(pa.size(), pb.size());
+        for (std::size_t i = 0; i < pa.size(); ++i) {
+            ASSERT_EQ(pa[i]->value.size(), pb[i]->value.size());
+            pb[i]->value = pa[i]->value;
+            pb[i]->markUpdated();
+        }
+        Tensor expect = b.forward(x, false);
+        ASSERT_EQ(after.size(), expect.size());
+        for (std::size_t i = 0; i < after.size(); ++i)
+            EXPECT_EQ(expect[i], after[i]) << "i=" << i;
     }
-    Tensor expect = b.forward(x, false);
-    ASSERT_EQ(after.size(), expect.size());
-    for (std::size_t i = 0; i < after.size(); ++i)
-        EXPECT_EQ(expect[i], after[i]) << "i=" << i;
 }
 
 /**
  * deserializeWeights must also bump the generation counters: save,
  * perturb, reload, and the next forward must be bitwise equal to the
  * pre-perturbation output even though the perturbed forward warmed
- * the packed caches with different weights.
+ * the packed caches with different weights. Runs on every conv
+ * route.
  */
 TEST(Prepack, DeserializeInvalidatesPackedCaches)
 {
-    Rng rng(31);
-    Network net = makeMiniAlexNet(rng);
     Rng xr(32);
     Tensor x(2, 1, 16, 16);
     for (std::size_t i = 0; i < x.size(); ++i)
         x[i] = float(xr.uniform(-1.0, 1.0));
 
-    Tensor before = net.forward(x, false);
-    const std::vector<std::uint8_t> snap = serializeWeights(net);
+    for (const std::optional<ConvAlgo> &route : networkConvRoutes()) {
+        SCOPED_TRACE(convRouteName(route));
+        Rng rng(31);
+        Network net = makeMiniAlexNet(rng);
+        pinConvRoute(net, route);
 
-    for (Param *p : net.params()) {
-        for (std::size_t i = 0; i < p->value.size(); ++i)
-            p->value[i] += 0.25f;
-        p->markUpdated();
+        Tensor before = net.forward(x, false);
+        const std::vector<std::uint8_t> snap = serializeWeights(net);
+
+        for (Param *p : net.params()) {
+            for (std::size_t i = 0; i < p->value.size(); ++i)
+                p->value[i] += 0.25f;
+            p->markUpdated();
+        }
+        Tensor perturbed = net.forward(x, false); // warms caches anew
+        bool differs = false;
+        for (std::size_t i = 0; i < before.size() && !differs; ++i)
+            differs = before[i] != perturbed[i];
+        ASSERT_TRUE(differs);
+
+        ASSERT_TRUE(deserializeWeights(net, snap));
+        Tensor restored = net.forward(x, false);
+        for (std::size_t i = 0; i < before.size(); ++i)
+            EXPECT_EQ(before[i], restored[i]) << "i=" << i;
     }
-    Tensor perturbed = net.forward(x, false); // warms caches anew
-    bool differs = false;
-    for (std::size_t i = 0; i < before.size() && !differs; ++i)
-        differs = before[i] != perturbed[i];
-    ASSERT_TRUE(differs);
-
-    ASSERT_TRUE(deserializeWeights(net, snap));
-    Tensor restored = net.forward(x, false);
-    for (std::size_t i = 0; i < before.size(); ++i)
-        EXPECT_EQ(before[i], restored[i]) << "i=" << i;
 }
 
 /** Hand-edits that follow the markUpdated protocol are picked up. */
@@ -312,26 +328,35 @@ TEST(Prepack, MarkUpdatedRefreshesNextForward)
  */
 TEST(Prepack, AlternatingPerforationKeepsFullPassBitwise)
 {
-    Rng rng_a(51);
-    ConvLayer conv = makeConv(rng_a, 3, 6, 3, 1, 1, 8);
-    Rng rng_b(51);
-    ConvLayer cold = makeConv(rng_b, 3, 6, 3, 1, 1, 8);
-
     Tensor x(2, 3, 8, 8);
     Rng xr(52);
     for (std::size_t i = 0; i < x.size(); ++i)
         x[i] = float(xr.uniform(-1.0, 1.0));
 
-    const Tensor want = cold.forward(x, false);
-    for (int round = 0; round < 3; ++round) {
-        conv.setComputedPositions(conv.fullPositions() / 4);
-        (void)conv.forward(x, false);
-        conv.setComputedPositions(0); // back to full
-        Tensor full = conv.forward(x, false);
-        ASSERT_EQ(full.size(), want.size());
-        for (std::size_t i = 0; i < full.size(); ++i)
-            EXPECT_EQ(want[i], full[i])
-                << "round=" << round << " i=" << i;
+    Rng rng_probe(51);
+    const ConvSpec spec = makeConv(rng_probe, 3, 6, 3, 1, 1, 8).spec();
+    // The perforated passes always run im2col; the full passes run
+    // each eligible route on the scratch they left behind.
+    for (ConvAlgo algo : eligibleConvAlgos(spec)) {
+        Rng rng_a(51);
+        ConvLayer conv = makeConv(rng_a, 3, 6, 3, 1, 1, 8);
+        conv.setAlgo(algo);
+        Rng rng_b(51);
+        ConvLayer cold = makeConv(rng_b, 3, 6, 3, 1, 1, 8);
+        cold.setAlgo(algo);
+
+        const Tensor want = cold.forward(x, false);
+        for (int round = 0; round < 3; ++round) {
+            conv.setComputedPositions(conv.fullPositions() / 4);
+            (void)conv.forward(x, false);
+            conv.setComputedPositions(0); // back to full
+            Tensor full = conv.forward(x, false);
+            ASSERT_EQ(full.size(), want.size());
+            for (std::size_t i = 0; i < full.size(); ++i)
+                EXPECT_EQ(want[i], full[i])
+                    << convAlgoName(algo) << " round=" << round
+                    << " i=" << i;
+        }
     }
 }
 

@@ -5,8 +5,8 @@
  * under a declared tolerance budget, bitwise determinism across
  * thread counts, odd-extent edge tiles, grouped convolution, the
  * pre-transformed weight cache's generation protocol, and the
- * precedence rules of effectiveAlgo() (force > pin > cost model,
- * training/perforation always exact).
+ * precedence rules of effectiveAlgo() (training/perforation always
+ * exact, then pin > cost model).
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include "common/parallel.hh"
 #include "common/random.hh"
 #include "nn/conv_layer.hh"
-#include "nn/fusion.hh"
 #include "tensor/tensor.hh"
 #include "tensor/winograd.hh"
 #include "tolerance.hh"
@@ -140,7 +139,6 @@ directReference(ConvLayer &layer, const Tensor &x)
  */
 TEST(Winograd, MatchesDirectReferenceAcrossShapes)
 {
-    clearForcedConvAlgo();
     struct Case
     {
         std::size_t h, w, pad;
@@ -174,7 +172,6 @@ TEST(Winograd, MatchesDirectReferenceAcrossShapes)
 /** Grouped winograd transforms each group's channel slice alone. */
 TEST(Winograd, GroupedMatchesDirectReference)
 {
-    clearForcedConvAlgo();
     Rng rng(41);
     ConvLayer layer =
         makeConv(rng, 6, 8, 3, 1, 1, 7, 7, /*groups=*/2);
@@ -194,7 +191,6 @@ TEST(Winograd, GroupedMatchesDirectReference)
  */
 TEST(Winograd, BitwiseIdenticalAcrossThreadCounts)
 {
-    clearForcedConvAlgo();
     Rng rng(55);
     ConvLayer layer = makeConv(rng, 8, 6, 3, 1, 1, 9, 7);
     layer.setAlgo(ConvAlgo::Winograd);
@@ -224,7 +220,6 @@ TEST(Winograd, BitwiseIdenticalAcrossThreadCounts)
  */
 TEST(Winograd, WeightUpdateInvalidatesTransformCache)
 {
-    clearForcedConvAlgo();
     Rng rng(61);
     ConvLayer layer = makeConv(rng, 4, 4, 3, 1, 1, 8, 8);
     layer.setAlgo(ConvAlgo::Winograd);
@@ -266,7 +261,6 @@ TEST(Winograd, EligibilityPredicates)
 /** Training and perforated forwards always take the exact route. */
 TEST(Winograd, TrainingAndPerforationForceExactRoute)
 {
-    clearForcedConvAlgo();
     Rng rng(81);
     ConvLayer layer = makeConv(rng, 4, 4, 3, 1, 1, 8, 8);
     layer.setAlgo(ConvAlgo::Winograd);
@@ -279,36 +273,26 @@ TEST(Winograd, TrainingAndPerforationForceExactRoute)
     EXPECT_EQ(layer.effectiveAlgo(false), ConvAlgo::Winograd);
 }
 
-/** Force beats pin beats cost model; force skips ineligible layers. */
-TEST(Winograd, ForcedAlgoPrecedence)
+/**
+ * A pinned algorithm beats the cost model: unpinned, a layer runs
+ * selectConvAlgo's choice; pinned to the other 3x3 route, it runs
+ * the pin. Two depths put the cost model on each side (shallow
+ * inputs never take winograd, deeper ones on a small grid do).
+ */
+TEST(Winograd, PinBeatsCostModel)
 {
     Rng rng(91);
-    ConvLayer layer = makeConv(rng, 4, 4, 3, 1, 1, 8, 8);
-    layer.setAlgo(ConvAlgo::Im2col);
-
-    setForcedConvAlgo(ConvAlgo::Winograd);
-    EXPECT_EQ(layer.effectiveAlgo(false), ConvAlgo::Winograd);
-
-    ConvLayer big = makeConv(rng, 4, 4, 5, 1, 2, 8, 8);
-    EXPECT_EQ(big.effectiveAlgo(false), ConvAlgo::Im2col)
-        << "force must not apply to an ineligible geometry";
-
-    clearForcedConvAlgo();
-    EXPECT_EQ(layer.effectiveAlgo(false), ConvAlgo::Im2col);
-}
-
-/** The forced route still computes the right numbers. */
-TEST(Winograd, ForcedWinogradMatchesReference)
-{
-    Rng rng(95);
-    ConvLayer layer = makeConv(rng, 4, 6, 3, 1, 1, 7, 7);
-    const Tensor x = randomInput(2, 4, 7, 7, 96);
-    const Tensor want = directReference(layer, x);
-
-    setForcedConvAlgo(ConvAlgo::Winograd);
-    const Tensor got = layer.forward(x, false);
-    clearForcedConvAlgo();
-    EXPECT_TRUE(allClose(want, got, kWinoRelBudget, kAbsFloor));
+    for (std::size_t in_c : {std::size_t(4), std::size_t(16)}) {
+        ConvLayer layer = makeConv(rng, in_c, 8, 3, 1, 1, 8, 8);
+        const ConvAlgo model = selectConvAlgo(layer.spec());
+        EXPECT_EQ(layer.effectiveAlgo(false), model);
+        const ConvAlgo other = model == ConvAlgo::Winograd
+                                   ? ConvAlgo::Im2col
+                                   : ConvAlgo::Winograd;
+        layer.setAlgo(other);
+        EXPECT_EQ(layer.plannedAlgo(), other) << "in_c=" << in_c;
+        EXPECT_EQ(layer.effectiveAlgo(false), other) << "in_c=" << in_c;
+    }
 }
 
 // ------------------------------------------------------ cost model
