@@ -10,7 +10,7 @@
  * packing, scratch churn, bias/interpolation copies — shows up in the
  * number that matters: images per second through a real layer graph.
  *
- * tools/run_bench.sh snapshots this bench as BENCH_pr3.json.
+ * BENCH_pr3.json is a frozen snapshot of this bench.
  */
 
 #include <benchmark/benchmark.h>
@@ -142,8 +142,8 @@ BENCHMARK(BM_E2EMiniInception) PCNN_E2E_ARGS;
  * encoding (0 = im2col, 2 = winograd) or -1 for cost-model
  * dispatch, so the "auto" rows expose the dispatch regret directly.
  *
- * tools/run_bench.sh snapshots these rows (with the winograd
- * microbench) as BENCH_pr4.json.
+ * BENCH_pr4.json is a frozen snapshot of these rows (with the
+ * winograd microbench).
  */
 struct AlgoShape
 {

@@ -126,7 +126,7 @@ BENCHMARK(BM_ConvForwardAlgo)
 /**
  * SGEMM thread scaling: range(0) = matrix size, range(1) = pool
  * lanes. The GFLOPS counter makes speedups directly comparable in
- * the JSON snapshot (tools/run_bench.sh).
+ * the --benchmark_format=json output.
  */
 void
 BM_SgemmThreads(benchmark::State &state)
@@ -244,7 +244,7 @@ tierBenchShape(int idx)
  *   1 = runtime-dispatched best tier at its cache-derived default,
  *   2 = the persisted per-host tune cache (pcnn_autotune winner);
  *       skipped with an error when no valid cache exists — run
- *       tools/run_bench.sh or pcnn_autotune first.
+ *       pcnn_autotune first.
  *
  * The bitwise_threads_ok counter re-runs the product at 1/2/4 pool
  * lanes before timing and records whether all three agree bitwise —
@@ -382,8 +382,8 @@ BM_Qgemm(benchmark::State &state)
         x = float(rng.uniform(-1, 1));
 
     // Tuned fp32 baseline on the same shape: the per-host autotuned
-    // config when a cache exists (tools/run_bench.sh sweeps one
-    // first), the dispatched best tier otherwise.
+    // config when a cache exists (pcnn_autotune sweeps one), the
+    // dispatched best tier otherwise.
     resetKernelTier();
     resetBlocking();
     {

@@ -11,8 +11,9 @@
  *
  *  - ScopedAllocCount probes a region of the calling thread:
  *    prepacked e2e forward and the serving engine's post-warmup
- *    batches must report 0 (tests/test_allocprobe.cc asserts it,
- *    bench_e2e_models / bench_serving_engine publish it per row);
+ *    batches must report 0 (tests/test_allocprobe.cc and
+ *    tests/test_multitenant.cc assert it, bench_e2e_models publishes
+ *    it per row);
  *  - tools/pcnn_analyze proves the same property statically for
  *    PCNN_HOT_PATH-tagged functions — the runtime probe is the
  *    cross-check that the static whitelist stays honest.

@@ -22,10 +22,13 @@ thread_local std::size_t tls_lane_limit = 0;
 std::size_t
 defaultThreads()
 {
-    if (const char *env = std::getenv("PCNN_THREADS")) {
+    // strtoul alone would accept a sign or leading blanks and wrap
+    // "-1" to ULONG_MAX; only a plain digit string is a lane count.
+    const char *env = std::getenv("PCNN_THREADS");
+    if (env && *env >= '0' && *env <= '9') {
         char *end = nullptr;
         const unsigned long v = std::strtoul(env, &end, 10);
-        if (end != env && *end == '\0' && v >= 1)
+        if (*end == '\0' && v >= 1)
             return std::min<std::size_t>(v, 256);
     }
     const unsigned hw = std::thread::hardware_concurrency();

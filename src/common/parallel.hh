@@ -79,7 +79,8 @@ class ParallelBody
 
 /**
  * Configured worker-lane count (>= 1). First call reads PCNN_THREADS
- * (clamped to [1, 256]); an unset or unparsable value falls back to
+ * (clamped to [1, 256]); a value that is unset, 0 or not a plain
+ * digit string (a sign or a leading blank included) falls back to
  * hardware_concurrency.
  */
 std::size_t threadCount();

@@ -35,14 +35,6 @@ struct TenantClassStats
     std::uint64_t shed = 0;      ///< rejected or evicted
     std::uint64_t sloMet = 0;    ///< completed inside the deadline
     std::uint64_t sloMissed = 0; ///< completed past the deadline
-
-    /** Fraction of completions inside the deadline (1 when none). */
-    double
-    sloAttainment() const
-    {
-        const std::uint64_t n = sloMet + sloMissed;
-        return n == 0 ? 1.0 : double(sloMet) / double(n);
-    }
 };
 
 /** One point of a model's replica-count trajectory. */

@@ -523,6 +523,13 @@ TEST(MultiTenant, PerModelBitwiseLogitsAcrossReplicaCounts)
     ASSERT_EQ(reg.registerModel(makeMiniInception(rng),
                                 modelConfig("incep", 1, 4)),
               RegisterStatus::Registered);
+    // A perforated variant, registered the way registerMiniZoo
+    // registers its /p50 models.
+    ModelConfig p50 = modelConfig("incep/p50", 1, 4);
+    p50.perforationKeep = 0.5;
+    ASSERT_EQ(reg.registerModel(makeMiniInception(rng, 8),
+                                std::move(p50)),
+              RegisterStatus::Registered);
 
     Rng inputs(23);
     std::vector<std::vector<Tensor>> xs(reg.size());
@@ -536,32 +543,40 @@ TEST(MultiTenant, PerModelBitwiseLogitsAcrossReplicaCounts)
         }
     }
 
-    MultiTenantEngine engine(reg, engineConfig(2));
-    for (std::size_t replicas : {1u, 2u, 4u}) {
-        for (std::size_t m = 0; m < reg.size(); ++m)
-            ASSERT_EQ(engine.scaleTo(m, replicas), replicas);
-        std::vector<std::vector<std::future<TenantResult>>> futs(
-            reg.size());
-        for (std::size_t m = 0; m < reg.size(); ++m) {
-            for (const Tensor &x : xs[m]) {
-                auto sub =
-                    engine.submit(m, TaskClass::Interactive, x);
-                ASSERT_EQ(sub.status, SubmitStatus::Accepted);
-                futs[m].push_back(std::move(sub.result));
+    // Explicit lane counts, so the intra-op split does not depend on
+    // the host's core count.
+    for (std::size_t lanes : {1u, 2u}) {
+        MultiEngineConfig cfg = engineConfig(2);
+        cfg.lanesPerWorker = lanes;
+        MultiTenantEngine engine(reg, cfg);
+        ASSERT_EQ(engine.lanesPerWorker(), lanes);
+        for (std::size_t replicas : {1u, 2u, 4u}) {
+            for (std::size_t m = 0; m < reg.size(); ++m)
+                ASSERT_EQ(engine.scaleTo(m, replicas), replicas);
+            std::vector<std::vector<std::future<TenantResult>>> futs(
+                reg.size());
+            for (std::size_t m = 0; m < reg.size(); ++m) {
+                for (const Tensor &x : xs[m]) {
+                    auto sub =
+                        engine.submit(m, TaskClass::Interactive, x);
+                    ASSERT_EQ(sub.status, SubmitStatus::Accepted);
+                    futs[m].push_back(std::move(sub.result));
+                }
             }
-        }
-        for (std::size_t m = 0; m < reg.size(); ++m) {
-            for (std::size_t i = 0; i < futs[m].size(); ++i) {
-                const TenantResult r = futs[m][i].get();
-                ASSERT_FALSE(r.shed);
-                ASSERT_EQ(r.logits.size(), want[m][i].size());
-                EXPECT_EQ(std::memcmp(r.logits.data(),
-                                      want[m][i].data(),
-                                      want[m][i].size() *
-                                          sizeof(float)),
-                          0)
-                    << "model " << m << " request " << i << " at "
-                    << replicas << " replicas";
+            for (std::size_t m = 0; m < reg.size(); ++m) {
+                for (std::size_t i = 0; i < futs[m].size(); ++i) {
+                    const TenantResult r = futs[m][i].get();
+                    ASSERT_FALSE(r.shed);
+                    ASSERT_EQ(r.logits.size(), want[m][i].size());
+                    EXPECT_EQ(std::memcmp(r.logits.data(),
+                                          want[m][i].data(),
+                                          want[m][i].size() *
+                                              sizeof(float)),
+                              0)
+                        << "model " << m << " request " << i << " at "
+                        << replicas << " replicas, " << lanes
+                        << " lanes";
+                }
             }
         }
     }

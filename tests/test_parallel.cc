@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -132,6 +134,64 @@ TEST(ParallelFor, SetThreadCountOverridesAndRestores)
     EXPECT_EQ(threadCount(), 3u);
     setThreadCount(0);
     EXPECT_GE(threadCount(), 1u);
+}
+
+/**
+ * Set PCNN_THREADS for one scope; restores the previous value (or
+ * its absence) and re-reads it through setThreadCount(0) on exit.
+ */
+class ThreadsEnvGuard
+{
+  public:
+    explicit ThreadsEnvGuard(const char *value)
+    {
+        if (const char *old = std::getenv("PCNN_THREADS")) {
+            hadOld = true;
+            oldValue = old;
+        }
+        setenv("PCNN_THREADS", value, 1);
+    }
+
+    ~ThreadsEnvGuard()
+    {
+        if (hadOld)
+            setenv("PCNN_THREADS", oldValue.c_str(), 1);
+        else
+            unsetenv("PCNN_THREADS");
+        setThreadCount(0);
+    }
+
+    ThreadsEnvGuard(const ThreadsEnvGuard &) = delete;
+    ThreadsEnvGuard &operator=(const ThreadsEnvGuard &) = delete;
+
+  private:
+    bool hadOld = false;
+    std::string oldValue;
+};
+
+// Only reads the lane count: no parallelFor runs while a bad value
+// is in force, so a wrapped count could never start its threads.
+TEST(ParallelFor, EnvThreadsRejectsSignedAndMalformedValues)
+{
+    const unsigned hw = std::thread::hardware_concurrency();
+    const std::size_t fallback = hw > 0 ? hw : 1;
+    for (const char *bad : {"-1", "-4", "+3", " 3", "", "abc", "0",
+                            "3x"}) {
+        ThreadsEnvGuard env(bad);
+        setThreadCount(0);
+        EXPECT_EQ(threadCount(), fallback) << "PCNN_THREADS='" << bad
+                                           << "'";
+    }
+    {
+        ThreadsEnvGuard env("3");
+        setThreadCount(0);
+        EXPECT_EQ(threadCount(), 3u);
+    }
+    {
+        ThreadsEnvGuard env("100000");
+        setThreadCount(0);
+        EXPECT_EQ(threadCount(), 256u);
+    }
 }
 
 /** Reference SGEMM: straight triple loop over op(A), op(B). */
