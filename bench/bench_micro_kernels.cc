@@ -267,11 +267,11 @@ BM_SgemmTier(benchmark::State &state)
     } else {
         HostTuneConfig tuned;
         std::string err;
-        if (!loadHostTune(hostTuneCachePath(), tuned, err) ||
-            !applyHostTune(tuned)) {
+        if (!loadHostTune(hostTuneCachePath(), tuned, err)) {
             state.SkipWithError(("no usable tune cache: " + err).c_str());
             return;
         }
+        applyHostTune(tuned);
     }
 
     Rng rng(6);
@@ -389,8 +389,9 @@ BM_Qgemm(benchmark::State &state)
     {
         HostTuneConfig tuned;
         std::string err;
-        if (!loadHostTune(hostTuneCachePath(), tuned, err) ||
-            !applyHostTune(tuned))
+        if (loadHostTune(hostTuneCachePath(), tuned, err))
+            applyHostTune(tuned);
+        else
             setKernelTier(bestKernelTier());
     }
     const double fp32_secs = bestSecsPerCall([&] {

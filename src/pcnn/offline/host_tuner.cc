@@ -417,20 +417,11 @@ loadHostTune(const std::string &path, HostTuneConfig &out,
     return true;
 }
 
-bool
+void
 applyHostTune(const HostTuneConfig &cfg)
 {
-    if (kernelTierForcedByEnv() && activeKernelTier() != cfg.tier) {
-        pcnn_warn("host tune cache pins tier ",
-                  kernelTierName(cfg.tier),
-                  " but PCNN_KERNEL_TIER overrides with ",
-                  kernelTierName(activeKernelTier()),
-                  "; cache ignored");
-        return false;
-    }
     setKernelTier(cfg.tier);
     setBlocking(cfg.blocking);
-    return true;
 }
 
 bool
@@ -449,7 +440,8 @@ applyHostTuneCacheOnce()
         std::string err;
         if (!loadHostTune(hostTuneCachePath(), cfg, err))
             return false;
-        return applyHostTune(cfg);
+        applyHostTune(cfg);
+        return true;
     }();
     return applied;
 }

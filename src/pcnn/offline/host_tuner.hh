@@ -87,13 +87,9 @@ bool loadHostTune(const std::string &path, HostTuneConfig &out,
 
 /**
  * Pin `cfg` on the kernel dispatch state (setKernelTier +
- * setBlocking). A PCNN_KERNEL_TIER operator override outranks the
- * cache: when the env pinned a different tier, the config's tier and
- * blocking are both left alone (the blocking was co-tuned with the
- * tier and is meaningless under another one).
- * @retval true when the config was applied
+ * setBlocking). The tier must be supported (loadHostTune checks).
  */
-bool applyHostTune(const HostTuneConfig &cfg);
+void applyHostTune(const HostTuneConfig &cfg);
 
 /**
  * Load-and-apply the default-path tune cache once per process
@@ -153,8 +149,9 @@ HostTuneResult autotuneHost(const HostTuneOptions &opts = {});
  * The offline entry point (tools/pcnn_autotune): load `path` and
  * return it (fromCache = true) when it validates against this host;
  * otherwise sweep, save to `path`, and return the swept winner. The
- * returned config is NOT applied — callers decide (the CLI applies
- * and reports; tests inspect).
+ * returned config is NOT applied — callers decide (the CLI reports
+ * it; the runtime applies the saved cache via
+ * applyHostTuneCacheOnce; tests inspect).
  */
 HostTuneResult ensureHostTuned(const std::string &path,
                                const HostTuneOptions &opts = {});

@@ -6,11 +6,12 @@
 
 namespace pcnn {
 
-AutoscalerPolicy::AutoscalerPolicy(AutoscalerConfig config)
-    : cfg(config)
+AutoscalerPolicy::AutoscalerPolicy(AutoscalerConfig config,
+                                   std::size_t max_replicas)
+    : cfg(config), maxReplicas(max_replicas)
 {
     pcnn_assert(cfg.minReplicas >= 1, "minReplicas must be >= 1");
-    pcnn_assert(cfg.maxReplicas >= cfg.minReplicas,
+    pcnn_assert(maxReplicas >= cfg.minReplicas,
                 "maxReplicas must be >= minReplicas");
     pcnn_assert(cfg.shrinkBacklogS <= cfg.growBacklogS,
                 "shrink threshold must not exceed grow threshold");
@@ -32,7 +33,7 @@ AutoscalerPolicy::tick(double backlog_per_replica_s,
     }
     if (backlog_per_replica_s > cfg.growBacklogS) {
         shrinkStreak = 0;
-        if (++growStreak >= cfg.growHold && replicas < cfg.maxReplicas) {
+        if (++growStreak >= cfg.growHold && replicas < maxReplicas) {
             growStreak = 0;
             cooldown = cfg.cooldownTicks;
             return Action::Grow;

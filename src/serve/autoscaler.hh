@@ -24,11 +24,14 @@
 
 namespace pcnn {
 
-/** Autoscaling thresholds and hysteresis. */
+/**
+ * Autoscaling thresholds and hysteresis, shared by every model. The
+ * growth ceiling is per model (ModelConfig::maxReplicas) and is
+ * handed to each AutoscalerPolicy on its own.
+ */
 struct AutoscalerConfig
 {
     std::size_t minReplicas = 1; ///< never shrink below
-    std::size_t maxReplicas = 4; ///< never grow past
     /// grow when backlog-per-replica exceeds this for growHold ticks
     double growBacklogS = 0.050;
     /// shrink when backlog-per-replica is under this for shrinkHold
@@ -55,7 +58,8 @@ class AutoscalerPolicy
         Shrink, ///< retire one idle replica
     };
 
-    explicit AutoscalerPolicy(AutoscalerConfig config);
+    /** @param max_replicas never grow past (the model's ceiling) */
+    AutoscalerPolicy(AutoscalerConfig config, std::size_t max_replicas);
 
     /**
      * Feed one observation; returns the action to take now.
@@ -70,6 +74,7 @@ class AutoscalerPolicy
 
   private:
     AutoscalerConfig cfg;
+    std::size_t maxReplicas;
     std::size_t growStreak = 0;
     std::size_t shrinkStreak = 0;
     std::size_t cooldown = 0;

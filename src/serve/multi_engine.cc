@@ -62,7 +62,7 @@ MultiTenantEngine::MultiTenantEngine(ModelRegistry &registry,
         totals.assign(models, 0);
         policies.reserve(models);
         for (std::size_t m = 0; m < models; ++m)
-            policies.emplace_back(cfg.autoscaler);
+            policies.emplace_back(cfg.autoscaler, reg.model(m).maxReplicas());
         // Initial pools, built before any worker exists: the first
         // replica of each model materializes the shared weight
         // panels during its warm-up; panels then reach the workers
@@ -250,12 +250,10 @@ MultiTenantEngine::scalerLoop()
                 estBatch);
             switch (policies[m].tick(backlog, totals[m])) {
               case AutoscalerPolicy::Action::Grow:
-                if (totals[m] < model.maxReplicas())
-                    growOne(m);
+                growOne(m);
                 break;
               case AutoscalerPolicy::Action::Shrink:
-                if (totals[m] > cfg.autoscaler.minReplicas)
-                    (void)shrinkOne(m);
+                (void)shrinkOne(m);
                 break;
               case AutoscalerPolicy::Action::Hold:
                 break;

@@ -1,7 +1,6 @@
 #include "tensor/microkernel.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <mutex>
@@ -9,7 +8,6 @@
 #include <utility>
 
 #include "common/check.hh"
-#include "common/logging.hh"
 #include "common/tags.hh"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -513,42 +511,6 @@ state()
     return s;
 }
 
-/** PCNN_KERNEL_TIER, parsed and validated once per process. */
-struct EnvTier
-{
-    bool forced = false;
-    KernelTier tier = KernelTier::Portable;
-};
-
-const EnvTier &
-envTier()
-{
-    static EnvTier e = [] {
-        EnvTier r;
-        const char *v = std::getenv("PCNN_KERNEL_TIER");
-        if (v == nullptr || *v == '\0' || std::string(v) == "auto")
-            return r;
-        KernelTier t;
-        if (!parseKernelTier(v, t)) {
-            pcnn_warn("PCNN_KERNEL_TIER=", v,
-                      " is not a known tier (want portable | avx2 | "
-                      "avx512 | neon | auto); ignoring");
-            return r;
-        }
-        if (!kernelTierSupported(t)) {
-            pcnn_warn("PCNN_KERNEL_TIER=", v,
-                      " is not supported on this host (",
-                      cpuFeatures().str(), "); using ",
-                      kernelTierName(bestKernelTier()));
-            return r;
-        }
-        r.forced = true;
-        r.tier = t;
-        return r;
-    }();
-    return e;
-}
-
 } // namespace
 
 const char *
@@ -681,21 +643,7 @@ KernelTier
 activeKernelTier()
 {
     const DispatchState &s = state();
-    if (s.tierPinned)
-        return s.tier;
-    // pcnn-analyze: allow(hot-path-alloc): PCNN_KERNEL_TIER is
-    // parsed once per process into a static; steady-state calls
-    // only read the cached result.
-    const EnvTier &env = envTier();
-    if (env.forced)
-        return env.tier;
-    return bestKernelTier();
-}
-
-bool
-kernelTierForcedByEnv()
-{
-    return envTier().forced;
+    return s.tierPinned ? s.tier : bestKernelTier();
 }
 
 void

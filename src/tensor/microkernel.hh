@@ -11,8 +11,9 @@
  *  - a *tier* of register-blocked micro-kernels — portable Vec8 8x8,
  *    AVX2+FMA 6x16, AVX-512 8x32, NEON 8x8 — compiled via per-function
  *    target attributes so one binary carries every tier its compiler
- *    supports, selected once at startup from cpuid/feature detection
- *    and overridable with PCNN_KERNEL_TIER;
+ *    supports; dispatch runs the widest tier the host executes
+ *    unless setKernelTier() (the per-host tune cache, tests) pins
+ *    another;
  *  - the Kc/Mc/Nc cache-blocking hierarchy above the register tile,
  *    with defaults derived from the host's detected cache sizes and
  *    override hooks the per-host autotuner (pcnn/offline/host_tuner)
@@ -57,7 +58,7 @@ enum class KernelTier : std::uint8_t
 const char *kernelTierName(KernelTier tier);
 
 /**
- * Parse a tier name (as in PCNN_KERNEL_TIER or the tune cache).
+ * Parse a tier name (as written in the tune cache).
  * @retval false if `s` names no known tier ("auto" is not a tier)
  */
 bool parseKernelTier(const std::string &s, KernelTier &out);
@@ -141,22 +142,15 @@ std::vector<KernelTier> supportedKernelTiers();
 KernelTier bestKernelTier();
 
 /**
- * The tier the next sgemm call will dispatch to. Resolution order:
- * setKernelTier() override > PCNN_KERNEL_TIER (read once; unknown or
- * unsupported values warn and fall through) > bestKernelTier().
+ * The tier the next sgemm call will dispatch to: the setKernelTier()
+ * pin if one is in force, else bestKernelTier().
  */
 KernelTier activeKernelTier();
-
-/**
- * True when PCNN_KERNEL_TIER pinned the active tier. The autotuner
- * respects the pin: a tune-cache tier never overrides the operator.
- */
-bool kernelTierForcedByEnv();
 
 /** Pin the dispatch tier (tests, tuner). Must be supported. */
 void setKernelTier(KernelTier tier);
 
-/** Drop a setKernelTier() pin; env/auto resolution applies again. */
+/** Drop a setKernelTier() pin; bestKernelTier() applies again. */
 void resetKernelTier();
 
 /** True while a setKernelTier() pin is in force. */

@@ -156,7 +156,7 @@ const QuantKernel &quantKernelFor(KernelTier tier);
 
 /** The int8 tier qgemm dispatches to: activeKernelTier() downgraded
  * along avx512 -> avx2 -> portable (neon -> portable) until the
- * int8 kernel is supported. Respects PCNN_KERNEL_TIER pins. */
+ * int8 kernel is supported, so a setKernelTier() pin applies. */
 KernelTier activeQuantKernelTier();
 
 /** qgemm rejects K beyond this bound: 4 * 127 * 127 per k4 group

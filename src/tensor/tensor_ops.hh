@@ -66,8 +66,8 @@ struct Epilogue
  * All matrices are dense row-major. op(A) is m x k, op(B) is k x n.
  * Transposed operands are packed into contiguous panels and fed to
  * the active SIMD micro-kernel tier (tensor/microkernel.hh: portable
- * Vec8 8x8, AVX2 6x16, AVX-512 8x32, NEON 8x8, runtime-dispatched
- * and overridable with PCNN_KERNEL_TIER) under a Kc/Mc/Nc
+ * Vec8 8x8, AVX2 6x16, AVX-512 8x32, NEON 8x8: the setKernelTier()
+ * pin, else the widest tier the host runs) under a Kc/Mc/Nc
  * cache-blocking hierarchy; the M (or, for single-block-row shapes,
  * N) dimension is parallelized over the pcnn thread pool in
  * register-block-aligned bands, so results are bitwise identical for

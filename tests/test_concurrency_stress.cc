@@ -17,6 +17,7 @@
 #include "common/parallel.hh"
 #include "common/random.hh"
 #include "gpu/gpu_spec.hh"
+#include "kernel_tier_sweep.hh"
 #include "pcnn/offline/kernel_tuner.hh"
 #include "tensor/tensor_ops.hh"
 
@@ -123,29 +124,30 @@ TEST(ConcurrencyStress, ConcurrentSgemmSharedInputs)
     for (auto &x : b)
         x = float(rng.uniform(-1, 1));
 
-    // Reference result, computed serially.
-    std::vector<float> ref(n * n, 0.0f);
-    sgemm(false, true, n, n, n, a.data(), b.data(), ref.data());
+    forEachKernelTier([&] {
+        // Reference result, computed serially.
+        std::vector<float> ref(n * n, 0.0f);
+        sgemm(false, true, n, n, n, a.data(), b.data(), ref.data());
 
-    constexpr std::size_t kThreads = 6;
-    std::vector<std::vector<float>> out(
-        kThreads, std::vector<float>(n * n, 0.0f));
-    std::vector<std::thread> threads;
-    for (std::size_t t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&, t] {
-            // trans_b exercises the thread-local packing scratch.
-            for (int iter = 0; iter < 10; ++iter) {
-                std::fill(out[t].begin(), out[t].end(), 0.0f);
-                sgemm(false, true, n, n, n, a.data(), b.data(),
-                      out[t].data());
-            }
-        });
-    }
-    for (auto &th : threads)
-        th.join();
-    for (std::size_t t = 0; t < kThreads; ++t)
-        EXPECT_EQ(out[t], ref) << "thread " << t;
-    setThreadCount(0);
+        constexpr std::size_t kThreads = 6;
+        std::vector<std::vector<float>> out(
+            kThreads, std::vector<float>(n * n, 0.0f));
+        std::vector<std::thread> threads;
+        for (std::size_t t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&, t] {
+                // trans_b exercises the thread-local packing scratch.
+                for (int iter = 0; iter < 10; ++iter) {
+                    std::fill(out[t].begin(), out[t].end(), 0.0f);
+                    sgemm(false, true, n, n, n, a.data(), b.data(),
+                          out[t].data());
+                }
+            });
+        }
+        for (auto &th : threads)
+            th.join();
+        for (std::size_t t = 0; t < kThreads; ++t)
+            EXPECT_EQ(out[t], ref) << "thread " << t;
+    });
 }
 
 TEST(ConcurrencyStress, ConcurrentTunerCacheLookups)

@@ -19,6 +19,7 @@
 
 #include "common/random.hh"
 #include "conv_algo_pin.hh"
+#include "kernel_tier_sweep.hh"
 #include "nn/conv_layer.hh"
 #include "nn/fc_layer.hh"
 #include "nn/model_zoo.hh"
@@ -66,25 +67,27 @@ expectBitwise(const Tensor &want, const Tensor &got,
         ASSERT_EQ(want[i], got[i]) << what << " i=" << i;
 }
 
-/** Folded vs. unfolded conv+relu on one pinned algorithm. */
+/** Folded vs. unfolded conv+relu on one pinned algorithm, per tier. */
 void
 checkConvReluFold(ConvAlgo algo, std::size_t kernel,
                   std::size_t pad)
 {
-    Rng rng(7 + std::size_t(algo));
-    Network net("t", Shape{1, 4, 8, 8});
-    net.add<ConvLayer>(convSpec(4, 6, kernel, 1, pad, 8), rng);
-    net.add<ReluLayer>("relu0");
-    net.convLayers()[0]->setAlgo(algo);
+    forEachKernelTier([&] {
+        Rng rng(7 + std::size_t(algo));
+        Network net("t", Shape{1, 4, 8, 8});
+        net.add<ConvLayer>(convSpec(4, 6, kernel, 1, pad, 8), rng);
+        net.add<ReluLayer>("relu0");
+        net.convLayers()[0]->setAlgo(algo);
 
-    const Tensor x = randomInput(2, 4, 8, 8, 11);
-    const Tensor unfolded = unfusedReference(net, x);
-    const Tensor folded = net.forward(x, false);
-    expectBitwise(unfolded, folded, convAlgoName(algo));
+        const Tensor x = randomInput(2, 4, 8, 8, 11);
+        const Tensor unfolded = unfusedReference(net, x);
+        const Tensor folded = net.forward(x, false);
+        expectBitwise(unfolded, folded, convAlgoName(algo));
 
-    // The clamp really ran: a ReLU'd output has no negatives.
-    for (std::size_t i = 0; i < folded.size(); ++i)
-        ASSERT_GE(folded[i], 0.0f) << "i=" << i;
+        // The clamp really ran: a ReLU'd output has no negatives.
+        for (std::size_t i = 0; i < folded.size(); ++i)
+            ASSERT_GE(folded[i], 0.0f) << "i=" << i;
+    });
 }
 
 TEST(Fusion, ConvReluFoldBitwiseIm2col)
@@ -106,17 +109,19 @@ TEST(Fusion, ConvReluFoldBitwiseWinograd)
 
 TEST(Fusion, FcReluFoldBitwise)
 {
-    Rng rng(21);
-    Network net("t", Shape{1, 3, 4, 4});
-    net.add<FcLayer>("fc0", 3 * 4 * 4, 10, rng);
-    net.add<ReluLayer>("relu0");
+    forEachKernelTier([] {
+        Rng rng(21);
+        Network net("t", Shape{1, 3, 4, 4});
+        net.add<FcLayer>("fc0", 3 * 4 * 4, 10, rng);
+        net.add<ReluLayer>("relu0");
 
-    const Tensor x = randomInput(3, 3, 4, 4, 22);
-    const Tensor unfolded = unfusedReference(net, x);
-    const Tensor folded = net.forward(x, false);
-    expectBitwise(unfolded, folded, "fc");
-    for (std::size_t i = 0; i < folded.size(); ++i)
-        ASSERT_GE(folded[i], 0.0f);
+        const Tensor x = randomInput(3, 3, 4, 4, 22);
+        const Tensor unfolded = unfusedReference(net, x);
+        const Tensor folded = net.forward(x, false);
+        expectBitwise(unfolded, folded, "fc");
+        for (std::size_t i = 0; i < folded.size(); ++i)
+            ASSERT_GE(folded[i], 0.0f);
+    });
 }
 
 /**
@@ -124,18 +129,20 @@ TEST(Fusion, FcReluFoldBitwise)
  * unfolded chain. Folded and unfolded forwards run the same
  * algorithm on every layer, so the comparison is bitwise on every
  * route: cost-model dispatch (std::nullopt), or one algorithm pinned
- * on every eligible conv the way a plan would.
+ * on every eligible conv the way a plan would. Runs on every tier.
  */
 void
 checkZooFold(bool inception, std::size_t seed, std::size_t batch,
              const std::optional<ConvAlgo> &route)
 {
-    Rng rng(seed);
-    Network net = inception ? makeMiniInception(rng) : makeMiniVgg(rng);
-    EXPECT_EQ(pinConvRoute(net, route) > 0, route.has_value());
-    const Tensor x = randomInput(batch, 1, 16, 16, seed + 1);
-    expectBitwise(unfusedReference(net, x), net.forward(x, false),
-                  net.name() + " " + convRouteName(route));
+    forEachKernelTier([&] {
+        Rng rng(seed);
+        Network net = inception ? makeMiniInception(rng) : makeMiniVgg(rng);
+        EXPECT_EQ(pinConvRoute(net, route) > 0, route.has_value());
+        const Tensor x = randomInput(batch, 1, 16, 16, seed + 1);
+        expectBitwise(unfusedReference(net, x), net.forward(x, false),
+                      net.name() + " " + convRouteName(route));
+    });
 }
 
 /**
@@ -174,29 +181,31 @@ TEST(Fusion, MiniInceptionFoldedVsUnfoldedBitwise)
  */
 TEST(Fusion, TrainingNeverFolds)
 {
-    Rng rng_a(51);
-    Network a = makeMiniVgg(rng_a);
-    Rng rng_b(51);
-    Network b = makeMiniVgg(rng_b);
-    const Tensor x = randomInput(2, 1, 16, 16, 52);
+    forEachKernelTier([] {
+        Rng rng_a(51);
+        Network a = makeMiniVgg(rng_a);
+        Rng rng_b(51);
+        Network b = makeMiniVgg(rng_b);
+        const Tensor x = randomInput(2, 1, 16, 16, 52);
 
-    const Tensor la = a.forward(x, true);
-    Tensor lb = x;
-    for (std::size_t i = 0; i < b.size(); ++i)
-        lb = b.layer(i).forward(lb, true);
-    expectBitwise(lb, la, "train forward");
+        const Tensor la = a.forward(x, true);
+        Tensor lb = x;
+        for (std::size_t i = 0; i < b.size(); ++i)
+            lb = b.layer(i).forward(lb, true);
+        expectBitwise(lb, la, "train forward");
 
-    a.backward(la);
-    b.backward(lb);
-    auto pa = a.params();
-    auto pb = b.params();
-    ASSERT_EQ(pa.size(), pb.size());
-    for (std::size_t i = 0; i < pa.size(); ++i) {
-        ASSERT_EQ(pa[i]->grad.size(), pb[i]->grad.size());
-        for (std::size_t j = 0; j < pa[i]->grad.size(); ++j)
-            ASSERT_EQ(pa[i]->grad[j], pb[i]->grad[j])
-                << "param " << i << " j=" << j;
-    }
+        a.backward(la);
+        b.backward(lb);
+        auto pa = a.params();
+        auto pb = b.params();
+        ASSERT_EQ(pa.size(), pb.size());
+        for (std::size_t i = 0; i < pa.size(); ++i) {
+            ASSERT_EQ(pa[i]->grad.size(), pb[i]->grad.size());
+            for (std::size_t j = 0; j < pa[i]->grad.size(); ++j)
+                ASSERT_EQ(pa[i]->grad[j], pb[i]->grad[j])
+                    << "param " << i << " j=" << j;
+        }
+    });
 }
 
 } // namespace

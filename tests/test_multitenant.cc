@@ -415,12 +415,14 @@ TEST(QueueFabric, BackgroundBatchIsBoundedByOccupancyBudget)
 
 // -------------------------------------------------------- Autoscaler
 
+/// Growth ceiling of the pure-policy tests (a model's maxReplicas).
+constexpr std::size_t kScalerCeiling = 4;
+
 AutoscalerConfig
 scalerConfig()
 {
     AutoscalerConfig cfg;
     cfg.minReplicas = 1;
-    cfg.maxReplicas = 4;
     cfg.growBacklogS = 0.050;
     cfg.shrinkBacklogS = 0.005;
     cfg.growHold = 2;
@@ -431,7 +433,7 @@ scalerConfig()
 
 TEST(Autoscaler, GrowsOnlyAfterSustainedPressureAndCoolsDown)
 {
-    AutoscalerPolicy p(scalerConfig());
+    AutoscalerPolicy p(scalerConfig(), kScalerCeiling);
     using Action = AutoscalerPolicy::Action;
     EXPECT_EQ(p.tick(0.2, 1), Action::Hold); // streak 1 of 2
     EXPECT_EQ(p.tick(0.2, 1), Action::Grow);
@@ -445,18 +447,18 @@ TEST(Autoscaler, GrowsOnlyAfterSustainedPressureAndCoolsDown)
 
 TEST(Autoscaler, HonorsReplicaBounds)
 {
-    AutoscalerPolicy p(scalerConfig());
+    AutoscalerPolicy p(scalerConfig(), kScalerCeiling);
     using Action = AutoscalerPolicy::Action;
     EXPECT_EQ(p.tick(0.2, 4), Action::Hold); // at maxReplicas
     EXPECT_EQ(p.tick(0.2, 4), Action::Hold);
-    AutoscalerPolicy q(scalerConfig());
+    AutoscalerPolicy q(scalerConfig(), kScalerCeiling);
     for (int i = 0; i < 10; ++i)
         EXPECT_EQ(q.tick(0.0, 1), Action::Hold); // at minReplicas
 }
 
 TEST(Autoscaler, ShrinksOnlyAfterSustainedIdle)
 {
-    AutoscalerPolicy p(scalerConfig());
+    AutoscalerPolicy p(scalerConfig(), kScalerCeiling);
     using Action = AutoscalerPolicy::Action;
     EXPECT_EQ(p.tick(0.0, 2), Action::Hold);
     EXPECT_EQ(p.tick(0.0, 2), Action::Hold);
@@ -465,7 +467,7 @@ TEST(Autoscaler, ShrinksOnlyAfterSustainedIdle)
 
 TEST(Autoscaler, DeadbandPreventsFlappingOnSteadyLoadStep)
 {
-    AutoscalerPolicy p(scalerConfig());
+    AutoscalerPolicy p(scalerConfig(), kScalerCeiling);
     using Action = AutoscalerPolicy::Action;
     // Load step: grow once, then the backlog settles into the
     // deadband (between shrink and grow thresholds). No further
@@ -668,8 +670,7 @@ TEST(MultiTenant, ScalerThreadGrowsUnderLoadAndShrinksWhenIdle)
     cfg.workers = 2;
     cfg.initialReplicas = 1;
     cfg.autoscaleTickS = 0.002;
-    cfg.autoscaler = scalerConfig();
-    cfg.autoscaler.maxReplicas = 3;
+    cfg.autoscaler = scalerConfig(); // ceiling: the model's 3
     // Tiny thresholds: any real backlog (millisecond forwards) is
     // pressure; a drained queue is idle.
     cfg.autoscaler.growBacklogS = 0.0005;

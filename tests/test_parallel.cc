@@ -21,6 +21,7 @@
 #include "common/random.hh"
 #include "data/synthetic.hh"
 #include "gpu/gpu_spec.hh"
+#include "kernel_tier_sweep.hh"
 #include "nn/model_zoo.hh"
 #include "pcnn/offline/kernel_tuner.hh"
 #include "tensor/tensor_ops.hh"
@@ -216,69 +217,73 @@ refGemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
 TEST(Sgemm, AllTransposeCasesMatchReference)
 {
     ThreadCountGuard guard(3);
-    Rng rng(41);
-    // Shapes straddle the 8x8 register blocking: exact multiples,
-    // sub-block, and ragged edges in every dimension.
-    const GemmShape shapes[] = {
-        {8, 8, 8},   {16, 24, 32}, {5, 3, 2},    {13, 11, 7},
-        {17, 64, 33}, {64, 9, 40},  {1, 30, 12},  {30, 1, 12},
-    };
-    for (const GemmShape &s : shapes) {
-        for (int ta = 0; ta < 2; ++ta) {
-            for (int tb = 0; tb < 2; ++tb) {
-                Tensor a(1, 1, ta ? s.k : s.m, ta ? s.m : s.k);
-                Tensor b(1, 1, tb ? s.n : s.k, tb ? s.k : s.n);
-                a.fillGaussian(rng, 0.0f, 1.0f);
-                b.fillGaussian(rng, 0.0f, 1.0f);
-                Tensor c(1, 1, s.m, s.n);
-                c.fillGaussian(rng, 0.0f, 1.0f);
-                std::vector<float> want(c.data(),
-                                        c.data() + c.size());
-                refGemm(ta != 0, tb != 0, s.m, s.n, s.k, a.data(),
-                        b.data(), want.data(), 0.5f);
-                sgemm(ta != 0, tb != 0, s.m, s.n, s.k, a.data(),
-                      b.data(), c.data(), 0.5f);
-                for (std::size_t i = 0; i < c.size(); ++i)
-                    EXPECT_NEAR(c[i], want[i], 1e-3)
-                        << "m=" << s.m << " n=" << s.n
-                        << " k=" << s.k << " ta=" << ta
-                        << " tb=" << tb << " i=" << i;
+    forEachKernelTier([] {
+        Rng rng(41);
+        // Shapes straddle the 8x8 register blocking: exact multiples,
+        // sub-block, and ragged edges in every dimension.
+        const GemmShape shapes[] = {
+            {8, 8, 8},   {16, 24, 32}, {5, 3, 2},    {13, 11, 7},
+            {17, 64, 33}, {64, 9, 40},  {1, 30, 12},  {30, 1, 12},
+        };
+        for (const GemmShape &s : shapes) {
+            for (int ta = 0; ta < 2; ++ta) {
+                for (int tb = 0; tb < 2; ++tb) {
+                    Tensor a(1, 1, ta ? s.k : s.m, ta ? s.m : s.k);
+                    Tensor b(1, 1, tb ? s.n : s.k, tb ? s.k : s.n);
+                    a.fillGaussian(rng, 0.0f, 1.0f);
+                    b.fillGaussian(rng, 0.0f, 1.0f);
+                    Tensor c(1, 1, s.m, s.n);
+                    c.fillGaussian(rng, 0.0f, 1.0f);
+                    std::vector<float> want(c.data(),
+                                            c.data() + c.size());
+                    refGemm(ta != 0, tb != 0, s.m, s.n, s.k, a.data(),
+                            b.data(), want.data(), 0.5f);
+                    sgemm(ta != 0, tb != 0, s.m, s.n, s.k, a.data(),
+                          b.data(), c.data(), 0.5f);
+                    for (std::size_t i = 0; i < c.size(); ++i)
+                        EXPECT_NEAR(c[i], want[i], 1e-3)
+                            << "m=" << s.m << " n=" << s.n
+                            << " k=" << s.k << " ta=" << ta
+                            << " tb=" << tb << " i=" << i;
+                }
             }
         }
-    }
+    });
 }
 
 TEST(Sgemm, BitwiseIdenticalAcrossThreadCounts)
 {
-    Rng rng(42);
-    const GemmShape shapes[] = {{96, 3025, 363}, {37, 53, 29}};
-    for (const GemmShape &s : shapes) {
-        for (int ta = 0; ta < 2; ++ta) {
-            for (int tb = 0; tb < 2; ++tb) {
-                Tensor a(1, 1, ta ? s.k : s.m, ta ? s.m : s.k);
-                Tensor b(1, 1, tb ? s.n : s.k, tb ? s.k : s.n);
-                a.fillGaussian(rng, 0.0f, 1.0f);
-                b.fillGaussian(rng, 0.0f, 1.0f);
-                Tensor c1(1, 1, s.m, s.n);
-                Tensor c8(1, 1, s.m, s.n);
-                {
-                    ThreadCountGuard guard(1);
-                    sgemm(ta != 0, tb != 0, s.m, s.n, s.k, a.data(),
-                          b.data(), c1.data());
+    forEachKernelTier([] {
+        Rng rng(42);
+        const GemmShape shapes[] = {{96, 3025, 363}, {37, 53, 29}};
+        for (const GemmShape &s : shapes) {
+            for (int ta = 0; ta < 2; ++ta) {
+                for (int tb = 0; tb < 2; ++tb) {
+                    Tensor a(1, 1, ta ? s.k : s.m, ta ? s.m : s.k);
+                    Tensor b(1, 1, tb ? s.n : s.k, tb ? s.k : s.n);
+                    a.fillGaussian(rng, 0.0f, 1.0f);
+                    b.fillGaussian(rng, 0.0f, 1.0f);
+                    Tensor c1(1, 1, s.m, s.n);
+                    Tensor c8(1, 1, s.m, s.n);
+                    {
+                        ThreadCountGuard guard(1);
+                        sgemm(ta != 0, tb != 0, s.m, s.n, s.k, a.data(),
+                              b.data(), c1.data());
+                    }
+                    {
+                        ThreadCountGuard guard(8);
+                        sgemm(ta != 0, tb != 0, s.m, s.n, s.k, a.data(),
+                              b.data(), c8.data());
+                    }
+                    EXPECT_EQ(std::memcmp(c1.data(), c8.data(),
+                                          c1.size() * sizeof(float)),
+                              0)
+                        << "m=" << s.m << " n=" << s.n << " k=" << s.k
+                        << " ta=" << ta << " tb=" << tb;
                 }
-                {
-                    ThreadCountGuard guard(8);
-                    sgemm(ta != 0, tb != 0, s.m, s.n, s.k, a.data(),
-                          b.data(), c8.data());
-                }
-                EXPECT_EQ(std::memcmp(c1.data(), c8.data(),
-                                      c1.size() * sizeof(float)),
-                          0)
-                    << "m=" << s.m << " n=" << s.n << " k=" << s.k
-                    << " ta=" << ta << " tb=" << tb;
             }
         }
-    }
+    });
 }
 
 TEST(Im2col, ChannelOffsetReadsTheChannelWindow)

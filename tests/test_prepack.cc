@@ -16,6 +16,7 @@
 #include "common/parallel.hh"
 #include "common/random.hh"
 #include "conv_algo_pin.hh"
+#include "kernel_tier_sweep.hh"
 #include "nn/conv_layer.hh"
 #include "nn/model_zoo.hh"
 #include "nn/network.hh"
@@ -54,32 +55,32 @@ TEST(Prepack, MatchesReferenceSgemmBitwiseAcrossThreadCounts)
     const auto b_t = randomVec(n * k, rng);   // B stored n x k
     const auto c_seed = randomVec(m * n, rng);
 
-    const std::size_t saved = threadCount();
-    for (std::size_t threads : {1u, 2u, 4u}) {
-        setThreadCount(threads);
-        for (bool trans_b : {false, true}) {
-            const float *b = trans_b ? b_t.data() : b_nt.data();
+    forEachKernelTier([&] {
+        for (std::size_t threads : {1u, 2u, 4u}) {
+            setThreadCount(threads);
+            for (bool trans_b : {false, true}) {
+                const float *b = trans_b ? b_t.data() : b_nt.data();
 
-            std::vector<float> ref = c_seed;
-            sgemm(false, trans_b, m, n, k, a.data(), b, ref.data(),
-                  0.5f);
+                std::vector<float> ref = c_seed;
+                sgemm(false, trans_b, m, n, k, a.data(), b, ref.data(),
+                      0.5f);
 
-            // rows/cols describe op(B): k x n either way.
-            PackedPanel panel;
-            packWeights(trans_b, k, n, b, panel);
-            EXPECT_EQ(panel.rows, k);
-            EXPECT_EQ(panel.cols, n);
+                // rows/cols describe op(B): k x n either way.
+                PackedPanel panel;
+                packWeights(trans_b, k, n, b, panel);
+                EXPECT_EQ(panel.rows, k);
+                EXPECT_EQ(panel.cols, n);
 
-            std::vector<float> got = c_seed;
-            sgemmPrepacked(m, n, k, a.data(), panel, got.data(),
-                          0.5f);
-            for (std::size_t i = 0; i < ref.size(); ++i)
-                EXPECT_EQ(ref[i], got[i])
-                    << "threads=" << threads
-                    << " trans_b=" << trans_b << " i=" << i;
+                std::vector<float> got = c_seed;
+                sgemmPrepacked(m, n, k, a.data(), panel, got.data(),
+                              0.5f);
+                for (std::size_t i = 0; i < ref.size(); ++i)
+                    EXPECT_EQ(ref[i], got[i])
+                        << "threads=" << threads
+                        << " trans_b=" << trans_b << " i=" << i;
+            }
         }
-    }
-    setThreadCount(saved);
+    });
 }
 
 /** Repacking after a weight change must pick up the new values. */
@@ -158,41 +159,45 @@ im2colRouteReference(ConvLayer &layer, const Tensor &x)
 
 TEST(Prepack, OneByOnePassthroughPredicateAndCorrectness)
 {
-    Rng rng(5);
-    ConvLayer fast = makeConv(rng, 4, 6, 1, 1, 0, 5);
-    EXPECT_TRUE(fast.is1x1Passthrough());
-    ConvLayer strided = makeConv(rng, 4, 6, 1, 2, 0, 5);
-    EXPECT_FALSE(strided.is1x1Passthrough());
-    ConvLayer padded = makeConv(rng, 4, 6, 3, 1, 1, 5);
-    EXPECT_FALSE(padded.is1x1Passthrough());
+    forEachKernelTier([] {
+        Rng rng(5);
+        ConvLayer fast = makeConv(rng, 4, 6, 1, 1, 0, 5);
+        EXPECT_TRUE(fast.is1x1Passthrough());
+        ConvLayer strided = makeConv(rng, 4, 6, 1, 2, 0, 5);
+        EXPECT_FALSE(strided.is1x1Passthrough());
+        ConvLayer padded = makeConv(rng, 4, 6, 3, 1, 1, 5);
+        EXPECT_FALSE(padded.is1x1Passthrough());
 
-    Tensor x(2, 4, 5, 5);
-    Rng xr(6);
-    for (std::size_t i = 0; i < x.size(); ++i)
-        x[i] = float(xr.uniform(-1.0, 1.0));
-    Tensor y = fast.forward(x, false);
-    Tensor want = im2colRouteReference(fast, x);
-    ASSERT_EQ(y.size(), want.size());
-    for (std::size_t i = 0; i < y.size(); ++i)
-        EXPECT_EQ(want[i], y[i]) << "i=" << i;
+        Tensor x(2, 4, 5, 5);
+        Rng xr(6);
+        for (std::size_t i = 0; i < x.size(); ++i)
+            x[i] = float(xr.uniform(-1.0, 1.0));
+        Tensor y = fast.forward(x, false);
+        Tensor want = im2colRouteReference(fast, x);
+        ASSERT_EQ(y.size(), want.size());
+        for (std::size_t i = 0; i < y.size(); ++i)
+            EXPECT_EQ(want[i], y[i]) << "i=" << i;
+    });
 }
 
 /** Grouped 1x1 convs take the fast path per group. */
 TEST(Prepack, Grouped1x1MatchesIm2colRoute)
 {
-    Rng rng(9);
-    ConvLayer conv = makeConv(rng, 6, 8, 1, 1, 0, 4, /*groups=*/2);
-    EXPECT_TRUE(conv.is1x1Passthrough());
+    forEachKernelTier([] {
+        Rng rng(9);
+        ConvLayer conv = makeConv(rng, 6, 8, 1, 1, 0, 4, /*groups=*/2);
+        EXPECT_TRUE(conv.is1x1Passthrough());
 
-    Tensor x(3, 6, 4, 4);
-    Rng xr(10);
-    for (std::size_t i = 0; i < x.size(); ++i)
-        x[i] = float(xr.uniform(-1.0, 1.0));
-    Tensor y = conv.forward(x, false);
-    Tensor want = im2colRouteReference(conv, x);
-    ASSERT_EQ(y.size(), want.size());
-    for (std::size_t i = 0; i < y.size(); ++i)
-        EXPECT_EQ(want[i], y[i]) << "i=" << i;
+        Tensor x(3, 6, 4, 4);
+        Rng xr(10);
+        for (std::size_t i = 0; i < x.size(); ++i)
+            x[i] = float(xr.uniform(-1.0, 1.0));
+        Tensor y = conv.forward(x, false);
+        Tensor want = im2colRouteReference(conv, x);
+        ASSERT_EQ(y.size(), want.size());
+        for (std::size_t i = 0; i < y.size(); ++i)
+            EXPECT_EQ(want[i], y[i]) << "i=" << i;
+    });
 }
 
 // ------------------------------------- cache invalidation protocol
@@ -213,39 +218,41 @@ TEST(Prepack, SgdStepInvalidatesPackedCaches)
     for (std::size_t i = 0; i < x.size(); ++i)
         x[i] = float(xr.uniform(-1.0, 1.0));
 
-    for (const std::optional<ConvAlgo> &route : networkConvRoutes()) {
-        SCOPED_TRACE(convRouteName(route));
-        Rng rng_a(21);
-        Network a = makeMiniInception(rng_a);
-        pinConvRoute(a, route);
+    forEachKernelTier([&] {
+        for (const std::optional<ConvAlgo> &route : networkConvRoutes()) {
+            SCOPED_TRACE(convRouteName(route));
+            Rng rng_a(21);
+            Network a = makeMiniInception(rng_a);
+            pinConvRoute(a, route);
 
-        // Warm a's packed caches, then train one step.
-        (void)a.forward(x, false);
-        Tensor logits = a.forward(x, true);
-        a.backward(logits); // any gradient signal will do
-        SgdOptimizer opt(SgdConfig{});
-        opt.step(a.params());
-        Tensor after = a.forward(x, false);
+            // Warm a's packed caches, then train one step.
+            (void)a.forward(x, false);
+            Tensor logits = a.forward(x, true);
+            a.backward(logits); // any gradient signal will do
+            SgdOptimizer opt(SgdConfig{});
+            opt.step(a.params());
+            Tensor after = a.forward(x, false);
 
-        // Twin: identical architecture, weights forced to a's
-        // post-step values before any forward, so no stale cache
-        // can exist.
-        Rng rng_b(21);
-        Network b = makeMiniInception(rng_b);
-        pinConvRoute(b, route);
-        auto pa = a.params();
-        auto pb = b.params();
-        ASSERT_EQ(pa.size(), pb.size());
-        for (std::size_t i = 0; i < pa.size(); ++i) {
-            ASSERT_EQ(pa[i]->value.size(), pb[i]->value.size());
-            pb[i]->value = pa[i]->value;
-            pb[i]->markUpdated();
+            // Twin: identical architecture, weights forced to a's
+            // post-step values before any forward, so no stale cache
+            // can exist.
+            Rng rng_b(21);
+            Network b = makeMiniInception(rng_b);
+            pinConvRoute(b, route);
+            auto pa = a.params();
+            auto pb = b.params();
+            ASSERT_EQ(pa.size(), pb.size());
+            for (std::size_t i = 0; i < pa.size(); ++i) {
+                ASSERT_EQ(pa[i]->value.size(), pb[i]->value.size());
+                pb[i]->value = pa[i]->value;
+                pb[i]->markUpdated();
+            }
+            Tensor expect = b.forward(x, false);
+            ASSERT_EQ(after.size(), expect.size());
+            for (std::size_t i = 0; i < after.size(); ++i)
+                EXPECT_EQ(expect[i], after[i]) << "i=" << i;
         }
-        Tensor expect = b.forward(x, false);
-        ASSERT_EQ(after.size(), expect.size());
-        for (std::size_t i = 0; i < after.size(); ++i)
-            EXPECT_EQ(expect[i], after[i]) << "i=" << i;
-    }
+    });
 }
 
 /**
@@ -262,60 +269,64 @@ TEST(Prepack, DeserializeInvalidatesPackedCaches)
     for (std::size_t i = 0; i < x.size(); ++i)
         x[i] = float(xr.uniform(-1.0, 1.0));
 
-    for (const std::optional<ConvAlgo> &route : networkConvRoutes()) {
-        SCOPED_TRACE(convRouteName(route));
-        Rng rng(31);
-        Network net = makeMiniAlexNet(rng);
-        pinConvRoute(net, route);
+    forEachKernelTier([&] {
+        for (const std::optional<ConvAlgo> &route : networkConvRoutes()) {
+            SCOPED_TRACE(convRouteName(route));
+            Rng rng(31);
+            Network net = makeMiniAlexNet(rng);
+            pinConvRoute(net, route);
 
-        Tensor before = net.forward(x, false);
-        const std::vector<std::uint8_t> snap = serializeWeights(net);
+            Tensor before = net.forward(x, false);
+            const std::vector<std::uint8_t> snap = serializeWeights(net);
 
-        for (Param *p : net.params()) {
-            for (std::size_t i = 0; i < p->value.size(); ++i)
-                p->value[i] += 0.25f;
-            p->markUpdated();
+            for (Param *p : net.params()) {
+                for (std::size_t i = 0; i < p->value.size(); ++i)
+                    p->value[i] += 0.25f;
+                p->markUpdated();
+            }
+            Tensor perturbed = net.forward(x, false); // warms caches anew
+            bool differs = false;
+            for (std::size_t i = 0; i < before.size() && !differs; ++i)
+                differs = before[i] != perturbed[i];
+            ASSERT_TRUE(differs);
+
+            ASSERT_TRUE(deserializeWeights(net, snap));
+            Tensor restored = net.forward(x, false);
+            for (std::size_t i = 0; i < before.size(); ++i)
+                EXPECT_EQ(before[i], restored[i]) << "i=" << i;
         }
-        Tensor perturbed = net.forward(x, false); // warms caches anew
-        bool differs = false;
-        for (std::size_t i = 0; i < before.size() && !differs; ++i)
-            differs = before[i] != perturbed[i];
-        ASSERT_TRUE(differs);
-
-        ASSERT_TRUE(deserializeWeights(net, snap));
-        Tensor restored = net.forward(x, false);
-        for (std::size_t i = 0; i < before.size(); ++i)
-            EXPECT_EQ(before[i], restored[i]) << "i=" << i;
-    }
+    });
 }
 
 /** Hand-edits that follow the markUpdated protocol are picked up. */
 TEST(Prepack, MarkUpdatedRefreshesNextForward)
 {
-    Rng rng(41);
-    ConvLayer conv = makeConv(rng, 3, 5, 1, 1, 0, 6);
-    Tensor x(1, 3, 6, 6);
-    Rng xr(42);
-    for (std::size_t i = 0; i < x.size(); ++i)
-        x[i] = float(xr.uniform(-1.0, 1.0));
+    forEachKernelTier([] {
+        Rng rng(41);
+        ConvLayer conv = makeConv(rng, 3, 5, 1, 1, 0, 6);
+        Tensor x(1, 3, 6, 6);
+        Rng xr(42);
+        for (std::size_t i = 0; i < x.size(); ++i)
+            x[i] = float(xr.uniform(-1.0, 1.0));
 
-    Tensor y0 = conv.forward(x, false);
-    Param *w = conv.params()[0];
-    const Tensor saved = w->value;
-    for (std::size_t i = 0; i < w->value.size(); ++i)
-        w->value[i] = -w->value[i];
-    w->markUpdated();
-    Tensor y1 = conv.forward(x, false);
-    bool differs = false;
-    for (std::size_t i = 0; i < y0.size() && !differs; ++i)
-        differs = y0[i] != y1[i];
-    EXPECT_TRUE(differs);
+        Tensor y0 = conv.forward(x, false);
+        Param *w = conv.params()[0];
+        const Tensor saved = w->value;
+        for (std::size_t i = 0; i < w->value.size(); ++i)
+            w->value[i] = -w->value[i];
+        w->markUpdated();
+        Tensor y1 = conv.forward(x, false);
+        bool differs = false;
+        for (std::size_t i = 0; i < y0.size() && !differs; ++i)
+            differs = y0[i] != y1[i];
+        EXPECT_TRUE(differs);
 
-    w->value = saved;
-    w->markUpdated();
-    Tensor y2 = conv.forward(x, false);
-    for (std::size_t i = 0; i < y0.size(); ++i)
-        EXPECT_EQ(y0[i], y2[i]) << "i=" << i;
+        w->value = saved;
+        w->markUpdated();
+        Tensor y2 = conv.forward(x, false);
+        for (std::size_t i = 0; i < y0.size(); ++i)
+            EXPECT_EQ(y0[i], y2[i]) << "i=" << i;
+    });
 }
 
 // --------------------------------------- scratch reuse correctness
@@ -337,27 +348,29 @@ TEST(Prepack, AlternatingPerforationKeepsFullPassBitwise)
     const ConvSpec spec = makeConv(rng_probe, 3, 6, 3, 1, 1, 8).spec();
     // The perforated passes always run im2col; the full passes run
     // each eligible route on the scratch they left behind.
-    for (ConvAlgo algo : eligibleConvAlgos(spec)) {
-        Rng rng_a(51);
-        ConvLayer conv = makeConv(rng_a, 3, 6, 3, 1, 1, 8);
-        conv.setAlgo(algo);
-        Rng rng_b(51);
-        ConvLayer cold = makeConv(rng_b, 3, 6, 3, 1, 1, 8);
-        cold.setAlgo(algo);
+    forEachKernelTier([&] {
+        for (ConvAlgo algo : eligibleConvAlgos(spec)) {
+            Rng rng_a(51);
+            ConvLayer conv = makeConv(rng_a, 3, 6, 3, 1, 1, 8);
+            conv.setAlgo(algo);
+            Rng rng_b(51);
+            ConvLayer cold = makeConv(rng_b, 3, 6, 3, 1, 1, 8);
+            cold.setAlgo(algo);
 
-        const Tensor want = cold.forward(x, false);
-        for (int round = 0; round < 3; ++round) {
-            conv.setComputedPositions(conv.fullPositions() / 4);
-            (void)conv.forward(x, false);
-            conv.setComputedPositions(0); // back to full
-            Tensor full = conv.forward(x, false);
-            ASSERT_EQ(full.size(), want.size());
-            for (std::size_t i = 0; i < full.size(); ++i)
-                EXPECT_EQ(want[i], full[i])
-                    << convAlgoName(algo) << " round=" << round
-                    << " i=" << i;
+            const Tensor want = cold.forward(x, false);
+            for (int round = 0; round < 3; ++round) {
+                conv.setComputedPositions(conv.fullPositions() / 4);
+                (void)conv.forward(x, false);
+                conv.setComputedPositions(0); // back to full
+                Tensor full = conv.forward(x, false);
+                ASSERT_EQ(full.size(), want.size());
+                for (std::size_t i = 0; i < full.size(); ++i)
+                    EXPECT_EQ(want[i], full[i])
+                        << convAlgoName(algo) << " round=" << round
+                        << " i=" << i;
+            }
         }
-    }
+    });
 }
 
 } // namespace

@@ -19,10 +19,10 @@
 #include <cstring>
 #include <vector>
 
-#include "common/alloc_count.hh"
 #include "common/parallel.hh"
 #include "common/random.hh"
 #include "data/synthetic.hh"
+#include "kernel_tier_sweep.hh"
 #include "nn/model_zoo.hh"
 #include "nn/network.hh"
 #include "pcnn/offline/compiler.hh"
@@ -37,17 +37,6 @@
 
 namespace pcnn {
 namespace {
-
-/** Restores the ambient pool width when a test resizes it. */
-class ThreadCountGuard
-{
-  public:
-    ThreadCountGuard() : saved(threadCount()) {}
-    ~ThreadCountGuard() { setThreadCount(saved); }
-
-  private:
-    std::size_t saved;
-};
 
 bool
 bitwiseEqual(const Tensor &a, const Tensor &b)
@@ -230,21 +219,24 @@ runQgemmCase(const QgemmCase &cs, Rng &rng, std::vector<float> &got,
 
 TEST(Quant, QgemmMatchesIntegerOracleExactly)
 {
-    Rng rng(11);
-    for (const QgemmCase &cs : kCases) {
-        std::vector<float> got, want;
-        runQgemmCase(cs, rng, got, want);
-        ASSERT_EQ(std::memcmp(got.data(), want.data(),
-                              got.size() * sizeof(float)),
-                  0)
-            << cs.m << "x" << cs.n << "x" << cs.k;
-    }
+    forEachKernelTier([] {
+        Rng rng(11);
+        for (const QgemmCase &cs : kCases) {
+            std::vector<float> got, want;
+            runQgemmCase(cs, rng, got, want);
+            ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                  got.size() * sizeof(float)),
+                      0)
+                << cs.m << "x" << cs.n << "x" << cs.k;
+        }
+    });
 }
 
 TEST(Quant, QgemmBitwiseIdenticalAcrossTiers)
 {
     // The determinism contract is *cross*-tier: every supported tier
     // must agree with the integer oracle bit for bit.
+    DispatchStateGuard guard;
     for (KernelTier tier : supportedKernelTiers()) {
         setKernelTier(tier);
         Rng rng(12); // same inputs for every tier
@@ -258,27 +250,27 @@ TEST(Quant, QgemmBitwiseIdenticalAcrossTiers)
                 << "x" << cs.k;
         }
     }
-    resetKernelTier();
 }
 
 TEST(Quant, QgemmBitwiseIdenticalAcrossThreadCounts)
 {
-    ThreadCountGuard guard;
-    const QgemmCase cs{37, 96, 200, true, true};
-    Rng rng(13);
-    std::vector<float> base, want;
-    setThreadCount(1);
-    runQgemmCase(cs, rng, base, want);
-    for (std::size_t threads : {std::size_t(2), std::size_t(4)}) {
-        setThreadCount(threads);
-        Rng rng2(13);
-        std::vector<float> got, w2;
-        runQgemmCase(cs, rng2, got, w2);
-        EXPECT_EQ(std::memcmp(base.data(), got.data(),
-                              base.size() * sizeof(float)),
-                  0)
-            << threads << " threads";
-    }
+    forEachKernelTier([] {
+        const QgemmCase cs{37, 96, 200, true, true};
+        Rng rng(13);
+        std::vector<float> base, want;
+        setThreadCount(1);
+        runQgemmCase(cs, rng, base, want);
+        for (std::size_t threads : {std::size_t(2), std::size_t(4)}) {
+            setThreadCount(threads);
+            Rng rng2(13);
+            std::vector<float> got, w2;
+            runQgemmCase(cs, rng2, got, w2);
+            EXPECT_EQ(std::memcmp(base.data(), got.data(),
+                                  base.size() * sizeof(float)),
+                      0)
+                << threads << " threads";
+        }
+    });
 }
 
 TEST(QuantDeath, QgemmRejectsOversizedK)
@@ -310,50 +302,54 @@ makeInput(const Network &net, std::size_t batch, std::uint64_t seed)
 
 TEST(Quant, Fp32PathBitwiseUnchangedByToggle)
 {
-    Rng rng(21);
-    Network net = makeMiniAlexNet(rng);
-    const Tensor x = makeInput(net, 4, 22);
+    forEachKernelTier([] {
+        Rng rng(21);
+        Network net = makeMiniAlexNet(rng);
+        const Tensor x = makeInput(net, 4, 22);
 
-    Tensor before, during, after;
-    net.forwardInto(x, false, before);
-    net.setQuantized(true);
-    net.forwardInto(x, false, during);
-    net.setQuantized(false);
-    net.forwardInto(x, false, after);
+        Tensor before, during, after;
+        net.forwardInto(x, false, before);
+        net.setQuantized(true);
+        net.forwardInto(x, false, during);
+        net.setQuantized(false);
+        net.forwardInto(x, false, after);
 
-    // Paper-fidelity default: with quantization off the fp32 result
-    // is bit-identical to a build that never heard of int8.
-    EXPECT_TRUE(bitwiseEqual(before, after));
-    // And the quantized pass really took the other route.
-    EXPECT_FALSE(bitwiseEqual(before, during));
+        // Paper-fidelity default: with quantization off the fp32
+        // result is bit-identical to a build that never heard of
+        // int8.
+        EXPECT_TRUE(bitwiseEqual(before, after));
+        // And the quantized pass really took the other route.
+        EXPECT_FALSE(bitwiseEqual(before, during));
+    });
 }
 
 TEST(Quant, ForwardBitwiseIdenticalAcrossThreadCounts)
 {
-    ThreadCountGuard tguard;
-
-    for (int zoo = 0; zoo < 3; ++zoo) {
-        Rng rng(31);
-        Network net = zoo == 0   ? makeMiniAlexNet(rng)
-                      : zoo == 1 ? makeMiniVgg(rng)
-                                 : makeMiniInception(rng);
-        net.setQuantized(true);
-        const Tensor x = makeInput(net, 4, 32);
-        setThreadCount(1);
-        Tensor base;
-        net.forwardInto(x, false, base);
-        for (std::size_t threads : {std::size_t(2), std::size_t(4)}) {
-            setThreadCount(threads);
-            Tensor y;
-            net.forwardInto(x, false, y);
-            EXPECT_TRUE(bitwiseEqual(base, y))
-                << "zoo " << zoo << " threads " << threads;
+    forEachKernelTier([] {
+        for (int zoo = 0; zoo < 3; ++zoo) {
+            Rng rng(31);
+            Network net = zoo == 0   ? makeMiniAlexNet(rng)
+                          : zoo == 1 ? makeMiniVgg(rng)
+                                     : makeMiniInception(rng);
+            net.setQuantized(true);
+            const Tensor x = makeInput(net, 4, 32);
+            setThreadCount(1);
+            Tensor base;
+            net.forwardInto(x, false, base);
+            for (std::size_t threads : {std::size_t(2), std::size_t(4)}) {
+                setThreadCount(threads);
+                Tensor y;
+                net.forwardInto(x, false, y);
+                EXPECT_TRUE(bitwiseEqual(base, y))
+                    << "zoo " << zoo << " threads " << threads;
+            }
         }
-    }
+    });
 }
 
 TEST(Quant, ForwardBitwiseIdenticalAcrossTiers)
 {
+    DispatchStateGuard guard;
     Rng rng(41);
     Network net = makeMiniVgg(rng);
     net.setQuantized(true);
@@ -368,7 +364,6 @@ TEST(Quant, ForwardBitwiseIdenticalAcrossTiers)
         net.forwardInto(x, false, y);
         EXPECT_TRUE(bitwiseEqual(base, y)) << kernelTierName(tier);
     }
-    resetKernelTier();
 }
 
 TEST(Quant, BatchOneMatchesBatchedRows)
@@ -376,67 +371,42 @@ TEST(Quant, BatchOneMatchesBatchedRows)
     // The FC layer takes a dedicated batch-1 route (qgemm straight
     // into y); it must agree bitwise with the same item inside a
     // batch, because qgemm's per-column math is independent of n.
-    Rng rng(51);
-    Network net = makeMiniAlexNet(rng);
-    net.setQuantized(true);
-    const Tensor x = makeInput(net, 1, 52);
-    Tensor y1;
-    net.forwardInto(x, false, y1);
-    Tensor y2;
-    net.forwardInto(x, false, y2);
-    EXPECT_TRUE(bitwiseEqual(y1, y2));
+    forEachKernelTier([] {
+        Rng rng(51);
+        Network net = makeMiniAlexNet(rng);
+        net.setQuantized(true);
+        const Tensor x = makeInput(net, 1, 52);
+        Tensor y1;
+        net.forwardInto(x, false, y1);
+        Tensor y2;
+        net.forwardInto(x, false, y2);
+        EXPECT_TRUE(bitwiseEqual(y1, y2));
+    });
 }
 
 TEST(Quant, ReplicasShareQuantizedPanels)
 {
-    Rng rng(61);
-    Network net = makeMiniAlexNet(rng);
-    net.setQuantized(true);
-    const Tensor x = makeInput(net, 2, 62);
+    forEachKernelTier([] {
+        Rng rng(61);
+        Network net = makeMiniAlexNet(rng);
+        net.setQuantized(true);
+        const Tensor x = makeInput(net, 2, 62);
 
-    // Warm up the base so every shared panel exists before cloning.
-    Tensor y;
-    net.forwardInto(x, false, y);
+        // Warm up the base so every shared panel exists before
+        // cloning.
+        Tensor y;
+        net.forwardInto(x, false, y);
 
-    Network replica = net.cloneSharingWeights();
-    const std::uint64_t packs = quantPackCount();
-    Tensor yr;
-    replica.forwardInto(x, false, yr);
-    replica.forwardInto(x, false, yr);
-    // Replica forwards reuse the shared panels: zero re-quantization.
-    EXPECT_EQ(quantPackCount(), packs);
-    EXPECT_TRUE(bitwiseEqual(y, yr));
-}
-
-TEST(QuantAllocProbe, WarmQuantizedForwardIsAllocFree)
-{
-    if (!allocCountingEnabled())
-        GTEST_SKIP() << "PCNN_COUNT_ALLOCS disabled in this build";
-
-    ThreadCountGuard tguard;
-
-    for (std::size_t threads : {std::size_t(1), std::size_t(2),
-                                std::size_t(4)}) {
-        setThreadCount(threads);
-        for (int zoo = 0; zoo < 3; ++zoo) {
-            Rng rng(71);
-            Network net = zoo == 0   ? makeMiniAlexNet(rng)
-                          : zoo == 1 ? makeMiniVgg(rng)
-                                     : makeMiniInception(rng);
-            net.setQuantized(true);
-            const Tensor x = makeInput(net, 4, 72);
-            Tensor y;
-            net.forwardInto(x, false, y);
-            net.forwardInto(x, false, y);
-
-            ScopedAllocCount probe;
-            net.forwardInto(x, false, y);
-            EXPECT_EQ(probe.allocs(), 0u)
-                << "zoo " << zoo << " threads " << threads;
-            EXPECT_EQ(probe.frees(), 0u)
-                << "zoo " << zoo << " threads " << threads;
-        }
-    }
+        Network replica = net.cloneSharingWeights();
+        const std::uint64_t packs = quantPackCount();
+        Tensor yr;
+        replica.forwardInto(x, false, yr);
+        replica.forwardInto(x, false, yr);
+        // Replica forwards reuse the shared panels: zero
+        // re-quantization.
+        EXPECT_EQ(quantPackCount(), packs);
+        EXPECT_TRUE(bitwiseEqual(y, yr));
+    });
 }
 
 TEST(Quant, TrainedTopOneSurvivesQuantization)
@@ -447,25 +417,28 @@ TEST(Quant, TrainedTopOneSurvivesQuantization)
     SyntheticTask task(cfg);
     Dataset train_set = task.generate(768);
     Dataset test_set = task.generate(192);
-    Rng rng(81);
-    Network net = makeMiniNet(MiniSize::Medium, rng);
-    TrainConfig tc;
-    tc.epochs = 4;
-    Trainer trainer(net, tc);
-    trainer.fit(train_set);
+    forEachKernelTier([&] {
+        Rng rng(81);
+        Network net = makeMiniNet(MiniSize::Medium, rng);
+        TrainConfig tc;
+        tc.epochs = 4;
+        Trainer trainer(net, tc);
+        trainer.fit(train_set);
 
-    const Tensor inputs = test_set.batch(0, test_set.size());
-    const Tensor fp_logits = net.forward(inputs, false);
-    const double fp_acc = accuracy(fp_logits, test_set.labels());
+        const Tensor inputs = test_set.batch(0, test_set.size());
+        const Tensor fp_logits = net.forward(inputs, false);
+        const double fp_acc = accuracy(fp_logits, test_set.labels());
 
-    net.setQuantized(true);
-    const Tensor q_logits = net.forward(inputs, false);
-    const double q_acc = accuracy(q_logits, test_set.labels());
+        net.setQuantized(true);
+        const Tensor q_logits = net.forward(inputs, false);
+        const double q_acc = accuracy(q_logits, test_set.labels());
 
-    // 7-bit activations + per-channel weights keep the top-1 within
-    // the entropy-threshold budget the tuner works against.
-    EXPECT_GE(q_acc, fp_acc - 0.05)
-        << "fp32 " << fp_acc << " int8 " << q_acc;
+        // 7-bit activations + per-channel weights keep the top-1
+        // within the entropy-threshold budget the tuner works
+        // against.
+        EXPECT_GE(q_acc, fp_acc - 0.05)
+            << "fp32 " << fp_acc << " int8 " << q_acc;
+    });
 }
 
 // ---------------------------------------------------- QuantProfile
@@ -553,31 +526,33 @@ TEST(QuantProfileIo, RejectsBadParams)
 
 TEST(QuantProfileIo, CalibratedProfileAppliesAndRoundTrips)
 {
-    Rng rng(91);
-    Network net = makeMiniAlexNet(rng);
-    const Tensor x = makeInput(net, 4, 92);
-    const QuantProfile profile = calibrateQuantProfile(net, x);
-    // One entry per top-level conv/fc layer.
-    EXPECT_EQ(profile.entries.size(),
-              net.convLayers().size() + net.fcLayers().size());
+    forEachKernelTier([] {
+        Rng rng(91);
+        Network net = makeMiniAlexNet(rng);
+        const Tensor x = makeInput(net, 4, 92);
+        const QuantProfile profile = calibrateQuantProfile(net, x);
+        // One entry per top-level conv/fc layer.
+        EXPECT_EQ(profile.entries.size(),
+                  net.convLayers().size() + net.fcLayers().size());
 
-    const auto loaded =
-        deserializeQuantProfile(serializeQuantProfile(profile));
-    ASSERT_TRUE(loaded.has_value());
-    applyQuantProfile(net, *loaded);
-    for (ConvLayer *c : net.convLayers()) {
-        EXPECT_TRUE(c->quantizedEnabled());
-        EXPECT_TRUE(c->hasInputQuant());
-    }
-    // Static ranges: logits are a pure function of the batch, and
-    // the route still runs end to end.
-    Tensor a, b;
-    net.forwardInto(x, false, a);
-    net.forwardInto(x, false, b);
-    EXPECT_TRUE(bitwiseEqual(a, b));
-    net.setQuantized(false);
-    for (ConvLayer *c : net.convLayers())
-        EXPECT_FALSE(c->quantizedEnabled());
+        const auto loaded =
+            deserializeQuantProfile(serializeQuantProfile(profile));
+        ASSERT_TRUE(loaded.has_value());
+        applyQuantProfile(net, *loaded);
+        for (ConvLayer *c : net.convLayers()) {
+            EXPECT_TRUE(c->quantizedEnabled());
+            EXPECT_TRUE(c->hasInputQuant());
+        }
+        // Static ranges: logits are a pure function of the batch,
+        // and the route still runs end to end.
+        Tensor a, b;
+        net.forwardInto(x, false, a);
+        net.forwardInto(x, false, b);
+        EXPECT_TRUE(bitwiseEqual(a, b));
+        net.setQuantized(false);
+        for (ConvLayer *c : net.convLayers())
+            EXPECT_FALSE(c->quantizedEnabled());
+    });
 }
 
 // ------------------------------------------------------- plan v3
@@ -710,31 +685,33 @@ TEST_F(QuantTunerFixture, PrecisionAxisJoinsTheGreedyWalk)
     cfg.allowQuantize = true;
     const AccuracyTuner tuner(jetsonTx1(), cfg);
     const Dataset tune_data = task->generate(128);
-    const TuningTable table = tuner.tuneNetwork(
-        *net, plan, tune_data.batch(0, tune_data.size()));
+    forEachKernelTier([&] {
+        const TuningTable table = tuner.tuneNetwork(
+            *net, plan, tune_data.batch(0, tune_data.size()));
 
-    ASSERT_GE(table.levels(), 2u) << "tuner never moved";
-    bool flipped = false;
-    for (std::size_t i = 0; i < table.levels(); ++i) {
-        const TuningEntry &e = table.entry(i);
-        ASSERT_EQ(e.quant.size(), e.positions.size());
-        if (i > 0) {
-            EXPECT_LT(e.predictedTimeS,
-                      table.entry(i - 1).predictedTimeS);
-            for (std::size_t l = 0; l < e.quant.size(); ++l)
-                EXPECT_GE(e.quant[l], table.entry(i - 1).quant[l]);
+        ASSERT_GE(table.levels(), 2u) << "tuner never moved";
+        bool flipped = false;
+        for (std::size_t i = 0; i < table.levels(); ++i) {
+            const TuningEntry &e = table.entry(i);
+            ASSERT_EQ(e.quant.size(), e.positions.size());
+            if (i > 0) {
+                EXPECT_LT(e.predictedTimeS,
+                          table.entry(i - 1).predictedTimeS);
+                for (std::size_t l = 0; l < e.quant.size(); ++l)
+                    EXPECT_GE(e.quant[l], table.entry(i - 1).quant[l]);
+            }
+            flipped = flipped || e.adjustedPrecision;
         }
-        flipped = flipped || e.adjustedPrecision;
-    }
-    // An int8 flip halves a layer's modeled time at near-zero
-    // entropy cost, so the TE metric must pick at least one.
-    EXPECT_TRUE(flipped);
+        // An int8 flip halves a layer's modeled time at near-zero
+        // entropy cost, so the TE metric must pick at least one.
+        EXPECT_TRUE(flipped);
 
-    // The tuner leaves the network exact afterwards.
-    for (ConvLayer *c : net->convLayers()) {
-        EXPECT_FALSE(c->perforated());
-        EXPECT_FALSE(c->quantizedEnabled());
-    }
+        // The tuner leaves the network exact afterwards.
+        for (ConvLayer *c : net->convLayers()) {
+            EXPECT_FALSE(c->perforated());
+            EXPECT_FALSE(c->quantizedEnabled());
+        }
+    });
 }
 
 TEST_F(QuantTunerFixture, PrecisionAxisOffKeepsLegacyEntries)
@@ -743,12 +720,14 @@ TEST_F(QuantTunerFixture, PrecisionAxisOffKeepsLegacyEntries)
     cfg.entropyThreshold = 1.4;
     const AccuracyTuner tuner(jetsonTx1(), cfg);
     const Dataset tune_data = task->generate(128);
-    const TuningTable table = tuner.tuneNetwork(
-        *net, plan, tune_data.batch(0, tune_data.size()));
-    for (std::size_t i = 0; i < table.levels(); ++i) {
-        EXPECT_TRUE(table.entry(i).quant.empty());
-        EXPECT_FALSE(table.entry(i).adjustedPrecision);
-    }
+    forEachKernelTier([&] {
+        const TuningTable table = tuner.tuneNetwork(
+            *net, plan, tune_data.batch(0, tune_data.size()));
+        for (std::size_t i = 0; i < table.levels(); ++i) {
+            EXPECT_TRUE(table.entry(i).quant.empty());
+            EXPECT_FALSE(table.entry(i).adjustedPrecision);
+        }
+    });
 }
 
 TEST(QuantTuner, Int8SpeedupPricesLayerTime)

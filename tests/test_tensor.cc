@@ -13,6 +13,7 @@
 #include <limits>
 
 #include "common/random.hh"
+#include "kernel_tier_sweep.hh"
 #include "scalar_reference.hh"
 #include "tensor/tensor.hh"
 #include "tensor/tensor_ops.hh"
@@ -122,17 +123,19 @@ class SgemmShapes
 
 TEST_P(SgemmShapes, MatchesReference)
 {
-    const auto [m, n, k] = GetParam();
-    Rng rng(m * 10007 + n * 101 + k);
-    std::vector<float> a(m * k), b(k * n), c(m * n), ref(m * n);
-    for (auto &x : a)
-        x = float(rng.uniform(-1, 1));
-    for (auto &x : b)
-        x = float(rng.uniform(-1, 1));
-    sgemm(false, false, m, n, k, a.data(), b.data(), c.data());
-    refGemm(m, n, k, a.data(), b.data(), ref.data());
-    for (std::size_t i = 0; i < c.size(); ++i)
-        ASSERT_NEAR(c[i], ref[i], 1e-3) << "at " << i;
+    forEachKernelTier([this] {
+        const auto [m, n, k] = GetParam();
+        Rng rng(m * 10007 + n * 101 + k);
+        std::vector<float> a(m * k), b(k * n), c(m * n), ref(m * n);
+        for (auto &x : a)
+            x = float(rng.uniform(-1, 1));
+        for (auto &x : b)
+            x = float(rng.uniform(-1, 1));
+        sgemm(false, false, m, n, k, a.data(), b.data(), c.data());
+        refGemm(m, n, k, a.data(), b.data(), ref.data());
+        for (std::size_t i = 0; i < c.size(); ++i)
+            ASSERT_NEAR(c[i], ref[i], 1e-3) << "at " << i;
+    });
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -144,51 +147,57 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Sgemm, TransposeA)
 {
-    // A stored as k x m, interpreted as m x k.
-    const std::size_t m = 2, n = 3, k = 4;
-    Rng rng(3);
-    std::vector<float> at(k * m), a(m * k), b(k * n);
-    for (auto &x : at)
-        x = float(rng.uniform(-1, 1));
-    for (auto &x : b)
-        x = float(rng.uniform(-1, 1));
-    for (std::size_t i = 0; i < m; ++i)
-        for (std::size_t p = 0; p < k; ++p)
-            a[i * k + p] = at[p * m + i];
-    std::vector<float> c1(m * n), c2(m * n);
-    sgemm(true, false, m, n, k, at.data(), b.data(), c1.data());
-    sgemm(false, false, m, n, k, a.data(), b.data(), c2.data());
-    for (std::size_t i = 0; i < c1.size(); ++i)
-        EXPECT_NEAR(c1[i], c2[i], 1e-5);
+    forEachKernelTier([] {
+        // A stored as k x m, interpreted as m x k.
+        const std::size_t m = 2, n = 3, k = 4;
+        Rng rng(3);
+        std::vector<float> at(k * m), a(m * k), b(k * n);
+        for (auto &x : at)
+            x = float(rng.uniform(-1, 1));
+        for (auto &x : b)
+            x = float(rng.uniform(-1, 1));
+        for (std::size_t i = 0; i < m; ++i)
+            for (std::size_t p = 0; p < k; ++p)
+                a[i * k + p] = at[p * m + i];
+        std::vector<float> c1(m * n), c2(m * n);
+        sgemm(true, false, m, n, k, at.data(), b.data(), c1.data());
+        sgemm(false, false, m, n, k, a.data(), b.data(), c2.data());
+        for (std::size_t i = 0; i < c1.size(); ++i)
+            EXPECT_NEAR(c1[i], c2[i], 1e-5);
+    });
 }
 
 TEST(Sgemm, TransposeB)
 {
-    const std::size_t m = 3, n = 2, k = 5;
-    Rng rng(4);
-    std::vector<float> a(m * k), bt(n * k), b(k * n);
-    for (auto &x : a)
-        x = float(rng.uniform(-1, 1));
-    for (auto &x : bt)
-        x = float(rng.uniform(-1, 1));
-    for (std::size_t p = 0; p < k; ++p)
-        for (std::size_t j = 0; j < n; ++j)
-            b[p * n + j] = bt[j * k + p];
-    std::vector<float> c1(m * n), c2(m * n);
-    sgemm(false, true, m, n, k, a.data(), bt.data(), c1.data());
-    sgemm(false, false, m, n, k, a.data(), b.data(), c2.data());
-    for (std::size_t i = 0; i < c1.size(); ++i)
-        EXPECT_NEAR(c1[i], c2[i], 1e-5);
+    forEachKernelTier([] {
+        const std::size_t m = 3, n = 2, k = 5;
+        Rng rng(4);
+        std::vector<float> a(m * k), bt(n * k), b(k * n);
+        for (auto &x : a)
+            x = float(rng.uniform(-1, 1));
+        for (auto &x : bt)
+            x = float(rng.uniform(-1, 1));
+        for (std::size_t p = 0; p < k; ++p)
+            for (std::size_t j = 0; j < n; ++j)
+                b[p * n + j] = bt[j * k + p];
+        std::vector<float> c1(m * n), c2(m * n);
+        sgemm(false, true, m, n, k, a.data(), bt.data(), c1.data());
+        sgemm(false, false, m, n, k, a.data(), b.data(), c2.data());
+        for (std::size_t i = 0; i < c1.size(); ++i)
+            EXPECT_NEAR(c1[i], c2[i], 1e-5);
+    });
 }
 
 TEST(Sgemm, BetaAccumulates)
 {
-    const std::size_t m = 2, n = 2, k = 2;
-    std::vector<float> a{1, 0, 0, 1}, b{1, 2, 3, 4};
-    std::vector<float> c{10, 10, 10, 10};
-    sgemm(false, false, m, n, k, a.data(), b.data(), c.data(), 1.0f);
-    EXPECT_FLOAT_EQ(c[0], 11.0f);
-    EXPECT_FLOAT_EQ(c[3], 14.0f);
+    forEachKernelTier([] {
+        const std::size_t m = 2, n = 2, k = 2;
+        std::vector<float> a{1, 0, 0, 1}, b{1, 2, 3, 4};
+        std::vector<float> c{10, 10, 10, 10};
+        sgemm(false, false, m, n, k, a.data(), b.data(), c.data(), 1.0f);
+        EXPECT_FLOAT_EQ(c[0], 11.0f);
+        EXPECT_FLOAT_EQ(c[3], 14.0f);
+    });
 }
 
 // ------------------------------------------------------------- im2col

@@ -16,6 +16,7 @@
 
 #include "common/parallel.hh"
 #include "common/random.hh"
+#include "kernel_tier_sweep.hh"
 #include "nn/conv_layer.hh"
 #include "tensor/tensor.hh"
 #include "tensor/winograd.hh"
@@ -146,40 +147,44 @@ TEST(Winograd, MatchesDirectReferenceAcrossShapes)
     const Case cases[] = {{8, 8, 1}, {7, 7, 1}, {9, 5, 1},
                           {6, 6, 0}, {5, 5, 0}, {4, 4, 1},
                           {3, 3, 1}};
-    for (const Case &c : cases) {
-        Rng rng(100 + c.h * 10 + c.w + c.pad);
-        ConvLayer layer = makeConv(rng, 5, 7, 3, 1, c.pad, c.h, c.w);
-        ASSERT_TRUE(layer.spec().algoEligible(ConvAlgo::Winograd));
-        const Tensor x = randomInput(2, 5, c.h, c.w, 7 * c.h + c.w);
-        const Tensor want = directReference(layer, x);
+    forEachKernelTier([&] {
+        for (const Case &c : cases) {
+            Rng rng(100 + c.h * 10 + c.w + c.pad);
+            ConvLayer layer = makeConv(rng, 5, 7, 3, 1, c.pad, c.h, c.w);
+            ASSERT_TRUE(layer.spec().algoEligible(ConvAlgo::Winograd));
+            const Tensor x = randomInput(2, 5, c.h, c.w, 7 * c.h + c.w);
+            const Tensor want = directReference(layer, x);
 
-        layer.setAlgo(ConvAlgo::Winograd);
-        const Tensor wino = layer.forward(x, false);
-        EXPECT_TRUE(
-            allClose(want, wino, kWinoRelBudget, kAbsFloor))
-            << "winograd h=" << c.h << " w=" << c.w
-            << " pad=" << c.pad;
+            layer.setAlgo(ConvAlgo::Winograd);
+            const Tensor wino = layer.forward(x, false);
+            EXPECT_TRUE(
+                allClose(want, wino, kWinoRelBudget, kAbsFloor))
+                << "winograd h=" << c.h << " w=" << c.w
+                << " pad=" << c.pad;
 
-        layer.setAlgo(ConvAlgo::Im2col);
-        const Tensor exact = layer.forward(x, false);
-        EXPECT_TRUE(
-            allClose(want, exact, kWinoRelBudget, kAbsFloor))
-            << "im2col h=" << c.h << " w=" << c.w
-            << " pad=" << c.pad;
-    }
+            layer.setAlgo(ConvAlgo::Im2col);
+            const Tensor exact = layer.forward(x, false);
+            EXPECT_TRUE(
+                allClose(want, exact, kWinoRelBudget, kAbsFloor))
+                << "im2col h=" << c.h << " w=" << c.w
+                << " pad=" << c.pad;
+        }
+    });
 }
 
 /** Grouped winograd transforms each group's channel slice alone. */
 TEST(Winograd, GroupedMatchesDirectReference)
 {
-    Rng rng(41);
-    ConvLayer layer =
-        makeConv(rng, 6, 8, 3, 1, 1, 7, 7, /*groups=*/2);
-    layer.setAlgo(ConvAlgo::Winograd);
-    const Tensor x = randomInput(3, 6, 7, 7, 42);
-    const Tensor want = directReference(layer, x);
-    const Tensor got = layer.forward(x, false);
-    EXPECT_TRUE(allClose(want, got, kWinoRelBudget, kAbsFloor));
+    forEachKernelTier([] {
+        Rng rng(41);
+        ConvLayer layer =
+            makeConv(rng, 6, 8, 3, 1, 1, 7, 7, /*groups=*/2);
+        layer.setAlgo(ConvAlgo::Winograd);
+        const Tensor x = randomInput(3, 6, 7, 7, 42);
+        const Tensor want = directReference(layer, x);
+        const Tensor got = layer.forward(x, false);
+        EXPECT_TRUE(allClose(want, got, kWinoRelBudget, kAbsFloor));
+    });
 }
 
 // ------------------------------------------------------ determinism
@@ -191,23 +196,23 @@ TEST(Winograd, GroupedMatchesDirectReference)
  */
 TEST(Winograd, BitwiseIdenticalAcrossThreadCounts)
 {
-    Rng rng(55);
-    ConvLayer layer = makeConv(rng, 8, 6, 3, 1, 1, 9, 7);
-    layer.setAlgo(ConvAlgo::Winograd);
-    const Tensor x = randomInput(2, 8, 9, 7, 56);
+    forEachKernelTier([] {
+        Rng rng(55);
+        ConvLayer layer = makeConv(rng, 8, 6, 3, 1, 1, 9, 7);
+        layer.setAlgo(ConvAlgo::Winograd);
+        const Tensor x = randomInput(2, 8, 9, 7, 56);
 
-    const std::size_t saved = threadCount();
-    setThreadCount(1);
-    const Tensor base = layer.forward(x, false);
-    for (std::size_t threads : {2u, 4u}) {
-        setThreadCount(threads);
-        const Tensor got = layer.forward(x, false);
-        ASSERT_EQ(base.size(), got.size());
-        for (std::size_t i = 0; i < base.size(); ++i)
-            EXPECT_EQ(base[i], got[i])
-                << "threads=" << threads << " i=" << i;
-    }
-    setThreadCount(saved);
+        setThreadCount(1);
+        const Tensor base = layer.forward(x, false);
+        for (std::size_t threads : {2u, 4u}) {
+            setThreadCount(threads);
+            const Tensor got = layer.forward(x, false);
+            ASSERT_EQ(base.size(), got.size());
+            for (std::size_t i = 0; i < base.size(); ++i)
+                EXPECT_EQ(base[i], got[i])
+                    << "threads=" << threads << " i=" << i;
+        }
+    });
 }
 
 // ------------------------------------------- weight-cache protocol
@@ -220,20 +225,22 @@ TEST(Winograd, BitwiseIdenticalAcrossThreadCounts)
  */
 TEST(Winograd, WeightUpdateInvalidatesTransformCache)
 {
-    Rng rng(61);
-    ConvLayer layer = makeConv(rng, 4, 4, 3, 1, 1, 8, 8);
-    layer.setAlgo(ConvAlgo::Winograd);
-    const Tensor x = randomInput(1, 4, 8, 8, 62);
-    (void)layer.forward(x, false); // warm the transform cache
+    forEachKernelTier([] {
+        Rng rng(61);
+        ConvLayer layer = makeConv(rng, 4, 4, 3, 1, 1, 8, 8);
+        layer.setAlgo(ConvAlgo::Winograd);
+        const Tensor x = randomInput(1, 4, 8, 8, 62);
+        (void)layer.forward(x, false); // warm the transform cache
 
-    Param *w = layer.params()[0];
-    for (std::size_t i = 0; i < w->value.size(); i += 3)
-        w->value[i] += 0.5f;
-    w->markUpdated();
+        Param *w = layer.params()[0];
+        for (std::size_t i = 0; i < w->value.size(); i += 3)
+            w->value[i] += 0.5f;
+        w->markUpdated();
 
-    const Tensor want = directReference(layer, x);
-    const Tensor got = layer.forward(x, false);
-    EXPECT_TRUE(allClose(want, got, kWinoRelBudget, kAbsFloor));
+        const Tensor want = directReference(layer, x);
+        const Tensor got = layer.forward(x, false);
+        EXPECT_TRUE(allClose(want, got, kWinoRelBudget, kAbsFloor));
+    });
 }
 
 // --------------------------------------------- dispatch precedence

@@ -80,8 +80,5 @@ main(int argc, char **argv)
                 kernelTierName(cfg.tier), cfg.blocking.kc,
                 cfg.blocking.mc, cfg.blocking.nc,
                 cfg.blocking.prefetch);
-    if (!applyHostTune(cfg))
-        std::printf("note: PCNN_KERNEL_TIER override kept; config "
-                    "saved but not applied to this process\n");
     return 0;
 }
